@@ -48,6 +48,7 @@ var (
 	tolHours    = tolerance{Abs: 1e-7, Rel: 1e-7} // delays, tens of hours
 	tolCount    = tolerance{Abs: 0, Rel: 0}       // integer-valued series (histograms)
 	tolLoad     = tolerance{Abs: 1e-7, Rel: 1e-7} // load-balance statistics
+	tolExact    = tolerance{Abs: 0, Rel: 0}       // byte-identity pins
 )
 
 var (
@@ -133,6 +134,7 @@ func goldenEntries() []goldenEntry {
 		goldenEntry{id: "ablation-history", tol: tolFraction, gen: historyFigure},
 		goldenEntry{id: "ablation-churn", tol: tolFraction, gen: churnFigure},
 		goldenEntry{id: "experiment-loadbalance", tol: tolLoad, gen: loadBalanceFigure},
+		goldenEntry{id: "experiment-protocol", tol: tolExact, gen: protocolFigure},
 		goldenEntry{id: "matrix-facebook-sporadic-conrep", tol: tolFraction, gen: matrixCellFigure("facebook", "Sporadic", "ConRep", "availability")},
 		goldenEntry{id: "matrix-facebook-fixed2-unconrep", tol: tolFraction, gen: matrixCellFigure("facebook", "FixedLength(2h)", "UnconRep", "availability")},
 		goldenEntry{id: "matrix-twitter-sporadic-conrep-delay", tol: tolHours, gen: matrixCellFigure("twitter", "Sporadic", "ConRep", "delay_hours")},
@@ -221,6 +223,47 @@ func loadBalanceFigure(t *testing.T) dosn.Figure {
 			X:     []float64{0, 1, 2},
 			Y:     []float64{r.MeanLoad, r.MaxLoad, r.CV},
 		})
+	}
+	return fig
+}
+
+// protocolFigure snapshots the protocol-validation experiment (X1/X2): the
+// discrete-event OSN runtime driven by MaxAv placements, with every analytic
+// and measured field of the result as one single-point series. Compared
+// exactly, it pins the runtime, the read workload and the analytic metrics
+// byte for byte.
+func protocolFigure(t *testing.T) dosn.Figure {
+	s := goldenSuite(t)
+	r, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{Dataset: s.Facebook, Seed: 42})
+	if err != nil {
+		t.Fatalf("protocol validation: %v", err)
+	}
+	fig := dosn.Figure{
+		ID:     "experiment-protocol",
+		Title:  "X1/X2: protocol runtime vs analytic metrics (Sporadic, MaxAv, ConRep, budget 3)",
+		XLabel: "field",
+		YLabel: "value",
+	}
+	for _, f := range []struct {
+		label string
+		v     float64
+	}{
+		{"Walls", float64(r.Walls)},
+		{"Posts", float64(r.Posts)},
+		{"AnalyticWorstHours", r.AnalyticWorstHours},
+		{"MeasuredMaxHours", r.MeasuredMaxHours},
+		{"MeasuredPairHours", r.MeasuredPairHours},
+		{"ObservedPairHours", r.ObservedPairHours},
+		{"ImmediateFraction", r.ImmediateFraction},
+		{"AnalyticAoDActivity", r.AnalyticAoDActivity},
+		{"MeasuredAoDTime", r.MeasuredAoDTime},
+		{"AnalyticAoDTime", r.AnalyticAoDTime},
+		{"DeliveredFraction", r.DeliveredFraction},
+		{"Exchanges", float64(r.Exchanges)},
+		{"PostsTransferred", float64(r.PostsTransferred)},
+		{"LostContacts", float64(r.LostContacts)},
+	} {
+		fig.Series = append(fig.Series, dosn.Series{Label: f.label, X: []float64{0}, Y: []float64{f.v}})
 	}
 	return fig
 }
