@@ -3,29 +3,9 @@ package core
 import (
 	"errors"
 	"testing"
-	"time"
 
-	"dosn/internal/interval"
 	"dosn/internal/onlinetime"
-	"dosn/internal/trace"
 )
-
-func TestActivityMinutes(t *testing.T) {
-	mk := func(min int) trace.Activity {
-		return trace.Activity{At: trace.Epoch.Add(time.Duration(min) * time.Minute)}
-	}
-	s := ActivityMinutes([]trace.Activity{mk(10), mk(10), mk(100)})
-	if s.Len() != 2 {
-		t.Errorf("ActivityMinutes Len = %d, want 2 distinct minutes", s.Len())
-	}
-	if !s.Contains(10) || !s.Contains(100) || s.Contains(50) {
-		t.Errorf("ActivityMinutes = %s", s)
-	}
-	if !ActivityMinutes(nil).IsEmpty() {
-		t.Error("no activities should give the empty set")
-	}
-	_ = interval.Empty // keep import for clarity of intent
-}
 
 func TestObjectiveAblation(t *testing.T) {
 	ds := testDataset(t)

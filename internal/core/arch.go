@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"dosn/internal/dht"
-	"dosn/internal/interval"
 	"dosn/internal/metrics"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
@@ -170,25 +169,20 @@ func sweepUsers(cfg ArchConfig, ds *trace.Dataset) []socialgraph.UserID {
 
 // archHostLoad places every profile in the dataset with the policy at the
 // full budget (first repetition's schedule table) and summarizes per-host
-// load. The table's arena rows are consumed directly; the sorted-interval
-// form is materialized only for policies whose traits ask for it.
+// load. The table's arena rows are consumed directly.
 func archHostLoad(cfg ArchConfig, p replica.Policy, table *onlinetime.Table) (mean, max, cv, gini float64) {
 	ds := cfg.Dataset
 	bitmaps := table.Bitmaps()
 	traits := replica.TraitsOf(p)
-	var schedules []interval.Set
-	if traits.UsesSchedules {
-		schedules = table.Sets()
-	}
 	assignments := make(map[socialgraph.UserID][]socialgraph.UserID, ds.NumUsers())
 	var countScratch trace.CountScratch
 	var actMinutes []int
+	var aod metrics.AoDTracker // digests the activity minutes into the demand set
 	for u := 0; u < ds.NumUsers(); u++ {
 		uid := socialgraph.UserID(u)
 		in := replica.Input{
 			Owner:      uid,
 			Candidates: ds.Graph.Neighbors(uid),
-			Schedules:  schedules,
 			Bitmaps:    bitmaps,
 			Mode:       cfg.Mode,
 			Budget:     cfg.MaxDegree,
@@ -201,7 +195,8 @@ func archHostLoad(cfg ArchConfig, p replica.Policy, table *onlinetime.Table) (me
 			for _, k := range ds.ReceivedIdx(uid) {
 				actMinutes = append(actMinutes, ds.MinuteOfDayAt(int(k)))
 			}
-			in.Demand = MinuteSet(actMinutes)
+			aod.InitUser(actMinutes)
+			in.Demand = aod.Activity()
 		}
 		var rng *rand.Rand
 		if traits.UsesRNG {

@@ -411,9 +411,7 @@ const sweepChunkSize = 16
 //
 // The repetition's schedule table is shared read-only: its arena rows are
 // the bitmap slice every worker reads, with no densification step on this
-// path (the table was dense from construction). The sorted-interval form is
-// materialized only when some policy's traits declare it reads
-// Input.Schedules — no built-in policy does. Every worker owns one
+// path (the table was dense from construction). Every worker owns one
 // sweepScratch, so the per-user metric accumulation allocates nothing
 // beyond the policy selections.
 //
@@ -424,13 +422,6 @@ const sweepChunkSize = 16
 //dosn:hotpath
 func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 	bitmaps := table.Bitmaps()
-	var sets []interval.Set
-	for _, p := range cfg.Policies {
-		if replica.TraitsOf(p).UsesSchedules {
-			sets = table.Sets()
-			break
-		}
-	}
 	nChunks := (len(cfg.Users) + sweepChunkSize - 1) / sweepChunkSize
 	batchChunks := nChunks
 	if cfg.ShardUsers > 0 {
@@ -446,7 +437,6 @@ func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 		}
 		b := sweepBatch{
 			cfg:     cfg,
-			sets:    sets,
 			bitmaps: bitmaps,
 			rep:     rep,
 			cs:      cs,
@@ -495,7 +485,6 @@ func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 // heap-allocate its environment each time (and hide which state is shared).
 type sweepBatch struct {
 	cfg     Config
-	sets    []interval.Set
 	bitmaps []interval.Bitmap
 	rep     int
 	cs, ce  int
@@ -582,7 +571,7 @@ func (b *sweepBatch) work() {
 		hi := min(lo+sweepChunkSize, len(b.cfg.Users))
 		g := newGrid(len(b.cfg.Policies), b.cfg.MaxDegree+1)
 		for _, u := range b.cfg.Users[lo:hi] {
-			sweepUser(b.cfg, b.sets, b.bitmaps, b.rep, u, g, &scratch)
+			sweepUser(b.cfg, b.bitmaps, b.rep, u, g, &scratch)
 		}
 		b.batch[ci-b.cs] = g
 		obsChunksSwept.Inc()
@@ -610,10 +599,8 @@ type sweepScratch struct {
 // bitmap representation; results are bit-identical to the sorted-interval
 // path it replaced (same integer measures, same float divisions). Inputs a
 // policy declares it will ignore (replica.Traits) are not prepared: only
-// MostActive pays for the interaction counts, only randomized policies pay
-// for RNG seeding, only MaxAv(activity) pays for the demand set, and sets —
-// the vestigial sorted-interval schedules — is nil unless some policy's
-// traits declare it reads Input.Schedules.
+// MostActive pays for the interaction counts and only randomized policies
+// pay for RNG seeding.
 //
 // The degree loop is a one-pass incremental kernel: each step grows the
 // availability bitmap and reads back its measure and its demand overlap from
@@ -626,15 +613,13 @@ type sweepScratch struct {
 // bit-identical to the three-pass loop this replaces.
 //
 //dosn:hotpath
-func sweepUser(cfg Config, sets []interval.Set, bitmaps []interval.Bitmap, rep int, u socialgraph.UserID, grid [][]Cell, scratch *sweepScratch) {
+func sweepUser(cfg Config, bitmaps []interval.Bitmap, rep int, u socialgraph.UserID, grid [][]Cell, scratch *sweepScratch) {
 	ds := cfg.Dataset
 	friends := ds.Graph.Neighbors(u)
 
-	var needCounts, needDemand bool
+	needCounts := false
 	for _, p := range cfg.Policies {
-		t := replica.TraitsOf(p)
-		needCounts = needCounts || t.UsesInteractions
-		needDemand = needDemand || t.UsesDemand
+		needCounts = needCounts || replica.TraitsOf(p).UsesInteractions
 	}
 
 	// Demand set: union of the friends' online times (AoD-time denominator).
@@ -654,21 +639,20 @@ func sweepUser(cfg Config, sets []interval.Set, bitmaps []interval.Bitmap, rep i
 		scratch.actMinutes = append(scratch.actMinutes, ds.MinuteOfDayAt(int(k)))
 	}
 
+	// The tracker's distinct activity minutes double as the demand universe
+	// of MaxAv's on-demand-activity objective (§III-A).
+	scratch.aod.InitUser(scratch.actMinutes)
 	in := replica.Input{
 		Owner:      u,
 		Candidates: friends,
-		Schedules:  sets,
 		Bitmaps:    bitmaps,
+		Demand:     scratch.aod.Activity(),
 		Mode:       cfg.Mode,
 		Budget:     cfg.MaxDegree,
 	}
 	if needCounts {
 		in.CandidateCounts = ds.CandidateInteractionCounts(u, friends, &scratch.counts)
 	}
-	if needDemand {
-		in.Demand = MinuteSet(scratch.actMinutes)
-	}
-	scratch.aod.InitUser(scratch.actMinutes)
 	for pi, p := range cfg.Policies {
 		var rng *rand.Rand
 		if replica.TraitsOf(p).UsesRNG {

@@ -207,7 +207,6 @@ func testInput(t *testing.T, n int, owner socialgraph.UserID, mode replica.Mode,
 	return replica.Input{
 		Owner:      owner,
 		Candidates: g.Neighbors(owner),
-		Schedules:  schedules,
 		Bitmaps:    interval.BitmapsFromSets(schedules),
 		Mode:       mode,
 		Budget:     budget,
@@ -321,11 +320,10 @@ func TestSocialDHTPrefersFriends(t *testing.T) {
 	b.AddEdge(owner, friend)
 	g := b.Build()
 	in := replica.Input{
-		Owner:     owner,
-		Schedules: schedules,
-		Bitmaps:   interval.BitmapsFromSets(schedules),
-		Mode:      replica.UnconRep,
-		Budget:    3,
+		Owner:   owner,
+		Bitmaps: interval.BitmapsFromSets(schedules),
+		Mode:    replica.UnconRep,
+		Budget:  3,
 	}
 	got := (&Placement{Ring: r, Social: true, Graph: g}).Select(in, nil)
 	if len(got) == 0 || got[0] != friend {
@@ -335,6 +333,31 @@ func TestSocialDHTPrefersFriends(t *testing.T) {
 	again := (&Placement{Ring: r, Social: true, Graph: g}).Select(in, nil)
 	if !reflect.DeepEqual(got, again) {
 		t.Errorf("SocialDHT selection not deterministic: %v vs %v", got, again)
+	}
+}
+
+// TestPlacementOutOfRangeIsEmptySchedule: ring nodes beyond Input.Bitmaps
+// read as the empty schedule. Both placements, in both modes, must select
+// exactly what they select when those rows exist and are empty.
+func TestPlacementOutOfRangeIsEmptySchedule(t *testing.T) {
+	const n = 120
+	r := mustRing(t, n, Config{})
+	for _, owner := range []socialgraph.UserID{3, 50, 100} {
+		padded, g := testInput(t, n, owner, replica.ConRep, 6)
+		for u := n / 2; u < n; u++ {
+			padded.Bitmaps[u] = interval.Bitmap{}
+		}
+		short := padded
+		short.Bitmaps = padded.Bitmaps[:n/2]
+		for _, mode := range []replica.Mode{replica.ConRep, replica.UnconRep} {
+			padded.Mode, short.Mode = mode, mode
+			for _, p := range []replica.Policy{&Placement{Ring: r}, &Placement{Ring: r, Social: true, Graph: g}} {
+				want := p.Select(padded, nil)
+				if got := p.Select(short, nil); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%v owner %d: out-of-range %v vs empty rows %v", p.Name(), mode, owner, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -1,37 +1,30 @@
 package interval
 
-import "math/bits"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // This file implements the dense minute-set representation. The package
-// carries two interchangeable representations of the same abstraction — a
-// subset of the 1440 circular day minutes:
+// carries two representations of the same abstraction — a subset of the
+// 1440 circular day minutes:
 //
-//   - Set: sorted disjoint intervals. Compact for sparse schedules (a
-//     FixedLength window is one interval), and the canonical, human-readable
-//     form every public API speaks.
+//   - Set: sorted disjoint intervals. The construction and serialization
+//     form: compact for sparse schedules (a FixedLength window is one
+//     interval), human-readable, and the reference the property tests check
+//     Bitmap against.
 //   - Bitmap: one bit per minute in 23 uint64 words. Union, intersection,
-//     overlap measure and membership are O(BitmapWords) word operations with
-//     no allocation, independent of fragmentation.
-//
-// Decision rule: Set operations cost O(intervals) with allocation and
-// branching per interval; Bitmap operations cost a constant 23 words. The
-// crossover sits at roughly DenseCutover intervals per operand — below it
-// (single-window models, pairwise checks on compact sets) Set wins; above it
-// (Sporadic schedules with one window per activity, repeated unions in the
-// greedy set cover, per-degree metric accumulation) Bitmap wins. Hot loops
-// that evaluate many operations against the same operands should convert
-// once and stay dense; PreferBitmap encodes the per-operation heuristic.
+//     overlap measure, membership and max-gap are O(BitmapWords) word
+//     operations with no allocation, independent of fragmentation. Every
+//     engine (policies, metrics, the sweep, the osn runtime) reads
+//     schedules in this form only.
 //
 // Conversions are lossless: s.Bitmap().Set() always equals s, and for any
-// bitmap b, b.Set().Bitmap() equals b, so callers can move a computation to
-// whichever representation wins without changing results.
+// bitmap b, b.Set().Bitmap() equals b, and both representations produce
+// bit-identical measures.
 
 // BitmapWords is the number of 64-bit words that cover the day.
 const BitmapWords = (DayMinutes + 63) / 64
-
-// DenseCutover is the approximate interval count at which Bitmap operations
-// become cheaper than Set operations (see the representation notes above).
-const DenseCutover = 8
 
 // lastWordBits is the number of day minutes mapped into the final word;
 // lastWordMask keeps Bitmap operations from straying past minute 1439.
@@ -39,11 +32,6 @@ const (
 	lastWordBits = DayMinutes - 64*(BitmapWords-1)
 	lastWordMask = uint64(1)<<lastWordBits - 1
 )
-
-// PreferBitmap reports whether an operation whose operands hold a combined
-// nIntervals intervals should run on the Bitmap representation. It is a
-// heuristic, not a contract: both representations produce identical results.
-func PreferBitmap(nIntervals int) bool { return nIntervals >= DenseCutover }
 
 // Bitmap is a dense, mutable minute set on the circular day: bit m%64 of
 // word m/64 is set exactly when minute m is in the set. The zero value is
@@ -581,6 +569,32 @@ func (b *Bitmap) MaxGapWith(o *Bitmap) (gap int, ok bool) {
 		maxRun = wrap
 	}
 	return maxRun, true
+}
+
+// RandomMinute returns a uniformly random set minute, using the caller's
+// RNG: it draws k = rng.Intn(Minutes()) and returns the k-th set minute in
+// ascending order. ok is false (and rng is untouched) for the empty set.
+// Because a Set's intervals are sorted and never wrap, this is the same
+// draw, and the same minute, as picking the k-th minute of b.Set() in
+// interval order.
+func (b *Bitmap) RandomMinute(rng *rand.Rand) (minute int, ok bool) {
+	total := b.Minutes()
+	if total == 0 {
+		return 0, false
+	}
+	k := rng.Intn(total)
+	for i := range b.w {
+		w := b.word(i)
+		if n := bits.OnesCount64(w); k >= n {
+			k -= n
+			continue
+		}
+		for ; k > 0; k-- {
+			w &= w - 1 // drop the lowest set minute
+		}
+		return i*64 + bits.TrailingZeros64(w), true
+	}
+	return 0, false // unreachable: k < total by construction
 }
 
 // String renders the bitmap in the same interval notation as Set.String.

@@ -430,3 +430,42 @@ func TestQuickBitmapAppendNewOverlapMinutes(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// setRandomMinute is the sorted-interval reference draw Bitmap.RandomMinute
+// replaced: k = rng.Intn(|s|), then the k-th minute walking s's intervals in
+// order.
+func setRandomMinute(s Set, rng *rand.Rand) (int, bool) {
+	total := s.Len()
+	if total == 0 {
+		return 0, false
+	}
+	k := rng.Intn(total)
+	for _, iv := range s.Intervals() {
+		if k < iv.Len() {
+			return iv.Start + k, true
+		}
+		k -= iv.Len()
+	}
+	return 0, false
+}
+
+// TestQuickBitmapRandomMinuteAgrees pins Bitmap.RandomMinute to the Set-order
+// k-th-minute draw: the same minute from the same seed, and the same RNG
+// consumption (the next draw after several picks still agrees).
+func TestQuickBitmapRandomMinuteAgrees(t *testing.T) {
+	f := func(s Set, seed int64) bool {
+		b := s.Bitmap()
+		want, got := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for i := 0; i < 5; i++ {
+			wm, wok := setRandomMinute(s, want)
+			gm, gok := b.RandomMinute(got)
+			if wm != gm || wok != gok {
+				return false
+			}
+		}
+		return want.Int63() == got.Int63()
+	}
+	if err := quick.Check(f, quickCfg); err != nil {
+		t.Error(err)
+	}
+}

@@ -9,17 +9,18 @@
 // cyclic. Sets are immutable after construction; all operations return new
 // sets. The zero value of Set is the empty set and is ready to use.
 //
-// The package carries two interchangeable representations: Set, the sparse
-// sorted-interval form every public API speaks, and Bitmap, a dense 23-word
-// bit-per-minute form whose union/intersection/overlap/max-gap operations run
-// in O(BitmapWords) with no allocation. Conversions are lossless in both
-// directions and both representations produce bit-identical measures; see the
-// representation notes in bitmap.go and PreferBitmap for when each wins.
+// The package carries two representations. Set, the sparse sorted-interval
+// form, is the construction and serialization API: schedules are built from
+// and converted back to it, and tests use it as the reference. Bitmap, a
+// dense 23-word bit-per-minute form whose union/intersection/overlap/max-gap
+// operations run in O(BitmapWords) with no allocation, is the only form the
+// engines read. Conversions are lossless in both directions and both
+// representations produce bit-identical measures; see the representation
+// notes in bitmap.go.
 package interval
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 )
@@ -377,21 +378,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// RandomMinute returns a uniformly random minute contained in the set, using
-// the caller's RNG. ok is false for the empty set.
-func (s Set) RandomMinute(rng *rand.Rand) (minute int, ok bool) {
-	total := s.Len()
-	if total == 0 {
-		return 0, false
-	}
-	k := rng.Intn(total)
-	for _, iv := range s.ivs {
-		if k < iv.Len() {
-			return iv.Start + k, true
-		}
-		k -= iv.Len()
-	}
-	return 0, false // unreachable: k < total by construction
 }

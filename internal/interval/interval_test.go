@@ -340,9 +340,10 @@ func TestEqual(t *testing.T) {
 func TestRandomMinute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := UnionAll(Window(100, 10), Window(1000, 10))
+	b := s.Bitmap()
 	counts := map[int]int{}
 	for i := 0; i < 2000; i++ {
-		m, ok := s.RandomMinute(rng)
+		m, ok := b.RandomMinute(rng)
 		if !ok {
 			t.Fatal("non-empty set must yield a minute")
 		}
@@ -363,7 +364,8 @@ func TestRandomMinute(t *testing.T) {
 	if lo == 0 || hi == 0 {
 		t.Errorf("sampling missed a window: lo=%d hi=%d", lo, hi)
 	}
-	if _, ok := Empty.RandomMinute(rng); ok {
+	var empty Bitmap
+	if _, ok := empty.RandomMinute(rng); ok {
 		t.Error("empty set must report !ok")
 	}
 }

@@ -11,92 +11,63 @@ import (
 
 	"dosn/internal/interval"
 	"dosn/internal/socialgraph"
-	"dosn/internal/trace"
 )
 
-// scheduleOf returns the schedule for u, tolerating out-of-range IDs.
-func scheduleOf(schedules []interval.Set, u socialgraph.UserID) interval.Set {
+// emptySchedule is the schedule of an ID outside the schedule slice.
+var emptySchedule interval.Bitmap
+
+// scheduleOf returns the dense schedule of u, or the empty schedule when u
+// lies outside schedules.
+func scheduleOf(schedules []interval.Bitmap, u socialgraph.UserID) *interval.Bitmap {
 	if u < 0 || int(u) >= len(schedules) {
-		return interval.Empty
+		return &emptySchedule
 	}
-	return schedules[u]
+	return &schedules[u]
 }
 
 // AvailabilitySet returns the set of minutes during which the profile of
 // owner is reachable: the union of the owner's own online time (the owner
 // always stores his profile — replication degree 0 in the paper means "only
 // the user stores his profile") and the online times of all replicas.
-func AvailabilitySet(owner socialgraph.UserID, replicas []socialgraph.UserID, schedules []interval.Set) interval.Set {
-	sets := make([]interval.Set, 0, len(replicas)+1)
-	sets = append(sets, scheduleOf(schedules, owner))
+// schedules is indexed by UserID; an ID outside it is never online.
+func AvailabilitySet(owner socialgraph.UserID, replicas []socialgraph.UserID, schedules []interval.Bitmap) interval.Bitmap {
+	var avail interval.Bitmap
+	avail.CopyFrom(scheduleOf(schedules, owner))
 	for _, r := range replicas {
-		sets = append(sets, scheduleOf(schedules, r))
+		avail.OrWith(scheduleOf(schedules, r))
 	}
-	return interval.UnionAll(sets...)
+	return avail
 }
 
 // Availability returns the fraction of the day the profile is reachable
 // (§II-C1).
-func Availability(owner socialgraph.UserID, replicas []socialgraph.UserID, schedules []interval.Set) float64 {
-	return AvailabilitySet(owner, replicas, schedules).Fraction()
+func Availability(owner socialgraph.UserID, replicas []socialgraph.UserID, schedules []interval.Bitmap) float64 {
+	avail := AvailabilitySet(owner, replicas, schedules)
+	return avail.Fraction()
 }
 
 // AvailabilityOnDemandTime returns the fraction of the union of the friends'
 // online times during which the profile is reachable (§II-C2). ok is false
 // when the friends are never online (the metric is undefined).
-func AvailabilityOnDemandTime(owner socialgraph.UserID, replicas, friends []socialgraph.UserID, schedules []interval.Set) (v float64, ok bool) {
-	sets := make([]interval.Set, 0, len(friends))
+func AvailabilityOnDemandTime(owner socialgraph.UserID, replicas, friends []socialgraph.UserID, schedules []interval.Bitmap) (v float64, ok bool) {
+	var demand interval.Bitmap
 	for _, f := range friends {
-		sets = append(sets, scheduleOf(schedules, f))
+		demand.OrWith(scheduleOf(schedules, f))
 	}
-	demand := interval.UnionAll(sets...)
 	if demand.IsEmpty() {
 		return 0, false
 	}
 	avail := AvailabilitySet(owner, replicas, schedules)
-	return float64(avail.OverlapLen(demand)) / float64(demand.Len()), true
+	return float64(avail.OverlapMinutes(&demand)) / float64(demand.Minutes()), true
 }
 
-// AvailabilityOnDemandActivity returns the fraction of activities on the
+// AvailabilityOnDemandMinutes returns the fraction of activities on the
 // owner's profile whose time-of-day falls within the availability set
-// (§II-C2, second variant). Both "expected" activity (inside the inferred
-// online times) and "unexpected" activity count, per §IV-B. ok is false when
-// the profile received no activity.
-func AvailabilityOnDemandActivity(avail interval.Set, received []trace.Activity) (v float64, ok bool) {
-	if len(received) == 0 {
-		return 0, false
-	}
-	hit := 0
-	for _, a := range received {
-		if avail.Contains(a.MinuteOfDay()) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(received)), true
-}
-
-// AvailabilityOnDemandActivityMinutes is AvailabilityOnDemandActivity over
-// pre-extracted minutes-of-day (e.g. straight off a columnar dataset's
-// timestamp column), avoiding the activity-row materialization. The two
-// agree exactly for the same activities.
-func AvailabilityOnDemandActivityMinutes(avail interval.Set, minutes []int) (v float64, ok bool) {
-	if len(minutes) == 0 {
-		return 0, false
-	}
-	hit := 0
-	for _, m := range minutes {
-		if avail.Contains(m) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(minutes)), true
-}
-
-// AvailabilityOnDemandMinutes is AvailabilityOnDemandActivity over the dense
-// availability representation and pre-extracted activity minutes-of-day:
-// each membership test is one bit probe instead of a binary search, and the
-// time-of-day arithmetic is paid once per user rather than once per degree.
-// The sweep engine calls it once per (policy, degree).
+// (§II-C2, second variant), given the activities' minutes-of-day (e.g.
+// straight off a columnar dataset's timestamp column, or
+// trace.Activity.MinuteOfDay). Both "expected" activity (inside the inferred
+// online times) and "unexpected" activity count, per §IV-B. Each membership
+// test is one bit probe. ok is false when the profile received no activity.
 func AvailabilityOnDemandMinutes(avail *interval.Bitmap, minutes []int) (v float64, ok bool) {
 	if len(minutes) == 0 {
 		return 0, false
@@ -156,6 +127,14 @@ func (t *AoDTracker) InitUser(minutes []int) {
 		t.weight[m]++
 	}
 }
+
+// Activity returns the distinct activity minutes digested by the last
+// InitUser — the set-cover universe of MaxAv's on-demand-activity objective
+// (§III-A). The bitmap is the tracker's own and is valid until the next
+// InitUser; callers must not modify it.
+//
+//dosn:hotpath
+func (t *AoDTracker) Activity() *interval.Bitmap { return &t.act }
 
 // Reset starts a new selection from the base availability set (the owner's
 // own schedule at degree 0), once per policy.
@@ -219,13 +198,9 @@ type DelayResult struct {
 // It is a convenience wrapper over DelayCalc with one-shot scratch; sweep
 // loops that evaluate many prefixes of one selection should hold a DelayCalc
 // and call Init once and Prefix per degree.
-func UpdatePropagationDelay(owner socialgraph.UserID, replicas []socialgraph.UserID, schedules []interval.Set) DelayResult {
+func UpdatePropagationDelay(owner socialgraph.UserID, replicas []socialgraph.UserID, schedules []interval.Bitmap) DelayResult {
 	var dc DelayCalc
-	dc.initSize(len(replicas) + 1)
-	dc.nodes[0].SetFrom(scheduleOf(schedules, owner))
-	for i, r := range replicas {
-		dc.nodes[i+1].SetFrom(scheduleOf(schedules, r))
-	}
+	dc.Init(owner, replicas, schedules)
 	return dc.Prefix(len(replicas))
 }
 
@@ -273,16 +248,9 @@ func (dc *DelayCalc) initSize(n int) {
 // treated as never online, matching scheduleOf).
 func (dc *DelayCalc) Init(owner socialgraph.UserID, seq []socialgraph.UserID, bitmaps []interval.Bitmap) {
 	dc.initSize(len(seq) + 1)
-	at := func(i int, u socialgraph.UserID) {
-		if u < 0 || int(u) >= len(bitmaps) {
-			dc.nodes[i].Clear()
-			return
-		}
-		dc.nodes[i].CopyFrom(&bitmaps[u])
-	}
-	at(0, owner)
+	dc.nodes[0].CopyFrom(scheduleOf(bitmaps, owner))
 	for i, r := range seq {
-		at(i+1, r)
+		dc.nodes[i+1].CopyFrom(scheduleOf(bitmaps, r))
 	}
 }
 
@@ -367,13 +335,8 @@ func (dc *DelayCalc) Prefix(k int) DelayResult {
 // MaxAchievableAvailability returns the best availability any placement can
 // reach for the owner: the union of the owner's and all friends' online
 // times (§III-A notes this bound).
-func MaxAchievableAvailability(owner socialgraph.UserID, friends []socialgraph.UserID, schedules []interval.Set) float64 {
-	sets := make([]interval.Set, 0, len(friends)+1)
-	sets = append(sets, scheduleOf(schedules, owner))
-	for _, f := range friends {
-		sets = append(sets, scheduleOf(schedules, f))
-	}
-	return interval.UnionAll(sets...).Fraction()
+func MaxAchievableAvailability(owner socialgraph.UserID, friends []socialgraph.UserID, schedules []interval.Bitmap) float64 {
+	return Availability(owner, friends, schedules)
 }
 
 // HostLoad counts, for every user, how many foreign profiles the user hosts

@@ -15,10 +15,10 @@ import (
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestAvailabilityIncludesOwner(t *testing.T) {
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 144), // owner: 10% of the day
 		1: interval.Window(720, 144),
-	}
+	})
 	if got := Availability(0, nil, schedules); !almost(got, 0.1) {
 		t.Errorf("degree-0 availability = %v, want 0.1 (owner's own time)", got)
 	}
@@ -28,22 +28,22 @@ func TestAvailabilityIncludesOwner(t *testing.T) {
 }
 
 func TestAvailabilityOverlapNotDoubleCounted(t *testing.T) {
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 144),
 		1: interval.Window(72, 144), // half overlaps the owner
-	}
+	})
 	if got := Availability(0, []socialgraph.UserID{1}, schedules); !almost(got, 216.0/1440) {
 		t.Errorf("availability = %v, want %v", got, 216.0/1440)
 	}
 }
 
 func TestAvailabilityOnDemandTime(t *testing.T) {
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 120),    // owner
 		1: interval.Window(100, 100),  // replica
 		2: interval.Window(0, 240),    // friend (demand)
 		3: interval.Window(1000, 100), // friend never covered
-	}
+	})
 	friends := []socialgraph.UserID{2, 3}
 	// Demand = [0,240) ∪ [1000,1100) → 340 min. Avail = [0,200).
 	// Covered demand = [0,200) → 200.
@@ -54,7 +54,7 @@ func TestAvailabilityOnDemandTime(t *testing.T) {
 }
 
 func TestAvailabilityOnDemandTimeUndefined(t *testing.T) {
-	schedules := []interval.Set{0: interval.Window(0, 60), 1: interval.Empty}
+	schedules := interval.BitmapsFromSets([]interval.Set{0: interval.Window(0, 60), 1: interval.Empty})
 	if _, ok := AvailabilityOnDemandTime(0, nil, []socialgraph.UserID{1}, schedules); ok {
 		t.Error("AoD-time with never-online friends must report !ok")
 	}
@@ -64,16 +64,19 @@ func TestAvailabilityOnDemandTimeUndefined(t *testing.T) {
 }
 
 func TestAvailabilityOnDemandActivity(t *testing.T) {
-	avail := interval.Window(600, 120) // [600,720)
+	avail := interval.Window(600, 120).Bitmap() // [600,720)
 	mk := func(min int) trace.Activity {
 		return trace.Activity{At: trace.Epoch.Add(time.Duration(min) * time.Minute)}
 	}
-	acts := []trace.Activity{mk(610), mk(700), mk(100), mk(719)}
-	v, ok := AvailabilityOnDemandActivity(avail, acts)
+	var minutes []int
+	for _, a := range []trace.Activity{mk(610), mk(700), mk(100), mk(719)} {
+		minutes = append(minutes, a.MinuteOfDay())
+	}
+	v, ok := AvailabilityOnDemandMinutes(&avail, minutes)
 	if !ok || !almost(v, 0.75) {
 		t.Errorf("AoD-activity = (%v,%v), want 0.75", v, ok)
 	}
-	if _, ok := AvailabilityOnDemandActivity(avail, nil); ok {
+	if _, ok := AvailabilityOnDemandMinutes(&avail, nil); ok {
 		t.Error("no activity must report !ok")
 	}
 }
@@ -82,10 +85,10 @@ func TestDelaySingleOverlapMatchesPaperFormula(t *testing.T) {
 	// Two nodes sharing a single overlap window of d minutes → delay
 	// (1440−d)/60 hours, the paper's 24−d expression.
 	d := 90
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 200),
 		1: interval.Window(200-d, 300),
-	}
+	})
 	res := UpdatePropagationDelay(0, []socialgraph.UserID{1}, schedules)
 	want := float64(1440-d) / 60
 	if !almost(res.Hours, want) || !res.Connected {
@@ -95,11 +98,11 @@ func TestDelaySingleOverlapMatchesPaperFormula(t *testing.T) {
 
 func TestDelayChainAddsHops(t *testing.T) {
 	// owner↔1 overlap 60min, 1↔2 overlap 30min; owner and 2 disjoint.
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 120),
 		1: interval.Window(60, 120),   // overlap with 0: [60,120)
 		2: interval.Window(150, 1000), // overlap with 1: [150,180); none with 0
-	}
+	})
 	res := UpdatePropagationDelay(0, []socialgraph.UserID{1, 2}, schedules)
 	if !res.Connected {
 		t.Fatal("chain should be connected")
@@ -114,15 +117,15 @@ func TestDelayChainAddsHops(t *testing.T) {
 func TestDelaySporadicIntermittentContactIsLower(t *testing.T) {
 	// Same total overlap, but spread across 4 windows → much smaller worst
 	// wait. This is the paper's explanation for Sporadic's lower delay.
-	single := []interval.Set{
+	single := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 120),
 		1: interval.Window(60, 600), // one 60-min overlap
-	}
-	spread := []interval.Set{
+	})
+	spread := interval.BitmapsFromSets([]interval.Set{
 		0: interval.UnionAll(interval.Window(0, 15), interval.Window(360, 15),
 			interval.Window(720, 15), interval.Window(1080, 15)),
 		1: interval.FullDay(), // overlap = owner's 4 spread sessions
-	}
+	})
 	d1 := UpdatePropagationDelay(0, []socialgraph.UserID{1}, single)
 	d2 := UpdatePropagationDelay(0, []socialgraph.UserID{1}, spread)
 	if d2.Hours >= d1.Hours {
@@ -131,11 +134,11 @@ func TestDelaySporadicIntermittentContactIsLower(t *testing.T) {
 }
 
 func TestDelayDisconnectedPairs(t *testing.T) {
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 60),
 		1: interval.Window(300, 60),
 		2: interval.Window(0, 120), // connected to owner only
-	}
+	})
 	res := UpdatePropagationDelay(0, []socialgraph.UserID{1, 2}, schedules)
 	if res.Connected {
 		t.Error("replica 1 has no overlap with anyone: must be disconnected")
@@ -147,7 +150,7 @@ func TestDelayDisconnectedPairs(t *testing.T) {
 }
 
 func TestDelayDegenerateCases(t *testing.T) {
-	schedules := []interval.Set{0: interval.Window(0, 60)}
+	schedules := interval.BitmapsFromSets([]interval.Set{0: interval.Window(0, 60)})
 	res := UpdatePropagationDelay(0, nil, schedules)
 	if res.Hours != 0 || !res.Connected || res.Nodes != 1 {
 		t.Errorf("degree-0 delay = %+v, want zero", res)
@@ -159,7 +162,7 @@ func TestDelayFullOverlapIsGapOfCommonSet(t *testing.T) {
 	// an update posted while both are offline still waits for the next
 	// session.
 	s := interval.Window(600, 120)
-	schedules := []interval.Set{0: s, 1: s}
+	schedules := interval.BitmapsFromSets([]interval.Set{0: s, 1: s})
 	res := UpdatePropagationDelay(0, []socialgraph.UserID{1}, schedules)
 	want := float64(1440-120) / 60
 	if !almost(res.Hours, want) {
@@ -168,11 +171,11 @@ func TestDelayFullOverlapIsGapOfCommonSet(t *testing.T) {
 }
 
 func TestMaxAchievableAvailability(t *testing.T) {
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 144),
 		1: interval.Window(144, 144),
 		2: interval.Window(288, 144),
-	}
+	})
 	got := MaxAchievableAvailability(0, []socialgraph.UserID{1, 2}, schedules)
 	if !almost(got, 432.0/1440) {
 		t.Errorf("max achievable = %v, want %v", got, 432.0/1440)
@@ -214,9 +217,9 @@ func TestQuickAvailabilityMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8
-		schedules := make([]interval.Set, n)
+		schedules := make([]interval.Bitmap, n)
 		for i := range schedules {
-			schedules[i] = interval.Window(rng.Intn(1440), rng.Intn(500))
+			schedules[i] = interval.Window(rng.Intn(1440), rng.Intn(500)).Bitmap()
 		}
 		friends := make([]socialgraph.UserID, 0, n-1)
 		for i := 1; i < n; i++ {
@@ -244,9 +247,9 @@ func TestQuickAoDTimeBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6
-		schedules := make([]interval.Set, n)
+		schedules := make([]interval.Bitmap, n)
 		for i := range schedules {
-			schedules[i] = interval.Window(rng.Intn(1440), rng.Intn(400))
+			schedules[i] = interval.Window(rng.Intn(1440), rng.Intn(400)).Bitmap()
 		}
 		friends := []socialgraph.UserID{1, 2, 3, 4, 5}
 		v, ok := AvailabilityOnDemandTime(0, friends, friends, schedules)
@@ -266,9 +269,9 @@ func TestQuickDelayOrderInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6
-		schedules := make([]interval.Set, n)
+		schedules := make([]interval.Bitmap, n)
 		for i := range schedules {
-			schedules[i] = interval.Window(rng.Intn(1440), 30+rng.Intn(400))
+			schedules[i] = interval.Window(rng.Intn(1440), 30+rng.Intn(400)).Bitmap()
 		}
 		rs := []socialgraph.UserID{1, 2, 3, 4, 5}
 		a := UpdatePropagationDelay(0, rs, schedules)
@@ -311,7 +314,7 @@ func TestDelayCalcMatchesOneShot(t *testing.T) {
 		var dc DelayCalc
 		dc.Init(owner, seq, bitmaps)
 		for k := 0; k <= len(seq); k++ {
-			want := UpdatePropagationDelay(owner, seq[:k], schedules)
+			want := UpdatePropagationDelay(owner, seq[:k], bitmaps)
 			got := dc.Prefix(k)
 			if got != want {
 				t.Fatalf("trial %d prefix %d: DelayCalc %+v vs one-shot %+v", trial, k, got, want)
@@ -319,7 +322,7 @@ func TestDelayCalcMatchesOneShot(t *testing.T) {
 		}
 		// Repeated and shrinking prefixes must answer identically too.
 		for _, k := range []int{len(seq), 1, 1, len(seq) / 2, len(seq)} {
-			want := UpdatePropagationDelay(owner, seq[:k], schedules)
+			want := UpdatePropagationDelay(owner, seq[:k], bitmaps)
 			if got := dc.Prefix(k); got != want {
 				t.Fatalf("trial %d revisit prefix %d: %+v vs %+v", trial, k, got, want)
 			}
@@ -330,20 +333,19 @@ func TestDelayCalcMatchesOneShot(t *testing.T) {
 // TestDelayCalcScratchReuse reuses one DelayCalc across selections of
 // different sizes, as the sweep workers do.
 func TestDelayCalcScratchReuse(t *testing.T) {
-	schedules := []interval.Set{
+	bitmaps := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 120),
 		1: interval.Window(60, 120),
 		2: interval.Window(600, 60),
 		3: interval.Window(100, 300),
-	}
-	bitmaps := interval.BitmapsFromSets(schedules)
+	})
 	var dc DelayCalc
 	for _, seq := range [][]socialgraph.UserID{
 		{1, 2, 3}, {3}, {2, 1}, {}, {1, 2},
 	} {
 		dc.Init(0, seq, bitmaps)
 		for k := 0; k <= len(seq); k++ {
-			want := UpdatePropagationDelay(0, seq[:k], schedules)
+			want := UpdatePropagationDelay(0, seq[:k], bitmaps)
 			if got := dc.Prefix(k); got != want {
 				t.Fatalf("seq %v prefix %d: %+v vs %+v", seq, k, got, want)
 			}
@@ -354,39 +356,14 @@ func TestDelayCalcScratchReuse(t *testing.T) {
 // TestDelayCalcOutOfRangeIDs: IDs outside the bitmap slice behave like
 // never-online nodes, matching scheduleOf's tolerance.
 func TestDelayCalcOutOfRangeIDs(t *testing.T) {
-	schedules := []interval.Set{0: interval.FullDay(), 1: interval.Window(0, 60)}
-	bitmaps := interval.BitmapsFromSets(schedules)
+	bitmaps := interval.BitmapsFromSets([]interval.Set{0: interval.FullDay(), 1: interval.Window(0, 60)})
 	var dc DelayCalc
 	dc.Init(0, []socialgraph.UserID{1, 99, -3}, bitmaps)
 	for k := 0; k <= 3; k++ {
-		want := UpdatePropagationDelay(0, []socialgraph.UserID{1, 99, -3}[:k], schedules)
+		want := UpdatePropagationDelay(0, []socialgraph.UserID{1, 99, -3}[:k], bitmaps)
 		if got := dc.Prefix(k); got != want {
 			t.Fatalf("prefix %d: %+v vs %+v", k, got, want)
 		}
-	}
-}
-
-// TestAvailabilityOnDemandMinutesAgrees checks the dense variant against the
-// Set-based metric.
-func TestAvailabilityOnDemandMinutesAgrees(t *testing.T) {
-	avail := interval.NewSet(interval.Interval{Start: 100, End: 200}, interval.Interval{Start: 1400, End: 1460})
-	bm := avail.Bitmap()
-	acts := []trace.Activity{
-		{At: trace.Epoch.Add(150 * time.Minute)},
-		{At: trace.Epoch.Add(500 * time.Minute)},
-		{At: trace.Epoch.Add(10 * time.Minute)},
-	}
-	minutes := make([]int, len(acts))
-	for i, a := range acts {
-		minutes[i] = a.MinuteOfDay()
-	}
-	want, wantOK := AvailabilityOnDemandActivity(avail, acts)
-	got, gotOK := AvailabilityOnDemandMinutes(&bm, minutes)
-	if want != got || wantOK != gotOK {
-		t.Fatalf("dense %v,%v vs sparse %v,%v", got, gotOK, want, wantOK)
-	}
-	if _, ok := AvailabilityOnDemandMinutes(&bm, nil); ok {
-		t.Error("no activities should report ok=false")
 	}
 }
 

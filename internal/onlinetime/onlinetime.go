@@ -27,10 +27,10 @@
 //  2. the per-user bitmaps are built from those values over a worker pool
 //     writing disjoint arena rows (deterministic for any worker count).
 //
-// ScheduleAll, the sorted-interval form, is the lossless conversion of the
-// same table; APIs that still speak []interval.Set (osn, plotting, the
-// protocol experiments) get results identical to the pre-arena sequential
-// build.
+// Every engine reads the table's rows. ScheduleAll is kept only as the
+// conversion to the sorted-interval form (interval.Set, the serialization
+// and test-reference representation): it is BuildTable(d, rng, 1).Sets(),
+// identical to the pre-arena sequential build.
 package onlinetime
 
 import (
@@ -364,15 +364,8 @@ func activityCenter(d *trace.Dataset, u socialgraph.UserID) (center int, ok bool
 	return m % interval.DayMinutes, true
 }
 
-// Compute runs the model over the dataset with a deterministic seed and
-// returns one schedule per user.
-func Compute(m Model, d *trace.Dataset, seed int64) []interval.Set {
-	return m.ScheduleAll(d, rand.New(rand.NewSource(seed)))
-}
-
-// ComputeTable is Compute in the dense arena form: it builds the model's
-// schedule table with a deterministic seed and the given phase-2 worker
-// budget (which never affects the result).
+// ComputeTable builds the model's schedule table with a deterministic seed
+// and the given phase-2 worker budget (which never affects the result).
 func ComputeTable(m Model, d *trace.Dataset, seed int64, workers int) *Table {
 	return m.BuildTable(d, rand.New(rand.NewSource(seed)), workers)
 }

@@ -10,6 +10,12 @@ import (
 	"dosn/internal/trace"
 )
 
+// schedules runs the model with a deterministic seed and returns one
+// sorted-interval schedule per user.
+func schedules(m Model, d *trace.Dataset, seed int64) []interval.Set {
+	return m.ScheduleAll(d, rand.New(rand.NewSource(seed)))
+}
+
 // datasetWithMinutes builds a 2-user dataset where user 0 creates one
 // activity at each given minute-of-day (receiver is user 1).
 func datasetWithMinutes(t *testing.T, minutes ...int) *trace.Dataset {
@@ -28,7 +34,7 @@ func datasetWithMinutes(t *testing.T, minutes ...int) *trace.Dataset {
 func TestSporadicSessionContainsActivity(t *testing.T) {
 	d := datasetWithMinutes(t, 100, 700, 1300)
 	for seed := int64(0); seed < 20; seed++ {
-		scheds := Compute(Sporadic{}, d, seed)
+		scheds := schedules(Sporadic{}, d, seed)
 		ot := scheds[0]
 		for _, m := range []int{100, 700, 1300} {
 			if !ot.Contains(m) {
@@ -68,7 +74,7 @@ func TestSporadicSessionLengths(t *testing.T) {
 
 func TestSporadicNoActivitiesMeansOffline(t *testing.T) {
 	d := datasetWithMinutes(t, 100) // user 1 creates nothing
-	scheds := Compute(Sporadic{}, d, 1)
+	scheds := schedules(Sporadic{}, d, 1)
 	if !scheds[1].IsEmpty() {
 		t.Errorf("user without activity should have empty schedule, got %s", scheds[1])
 	}
@@ -76,7 +82,7 @@ func TestSporadicNoActivitiesMeansOffline(t *testing.T) {
 
 func TestFixedLengthCenteredOnActivity(t *testing.T) {
 	d := datasetWithMinutes(t, 600, 610, 620) // activities around 10:10
-	scheds := Compute(FixedLength{Hours: 2}, d, 1)
+	scheds := schedules(FixedLength{Hours: 2}, d, 1)
 	ot := scheds[0]
 	if ot.Len() != 120 {
 		t.Fatalf("window length = %d, want 120", ot.Len())
@@ -95,7 +101,7 @@ func TestFixedLengthCenteredOnActivity(t *testing.T) {
 func TestFixedLengthCircularCenter(t *testing.T) {
 	// Activities at 23:50 and 00:10 → circular mean midnight, not noon.
 	d := datasetWithMinutes(t, 1430, 10)
-	scheds := Compute(FixedLength{Hours: 2}, d, 1)
+	scheds := schedules(FixedLength{Hours: 2}, d, 1)
 	ot := scheds[0]
 	if !ot.Contains(0) {
 		t.Errorf("window %s should straddle midnight", ot)
@@ -108,7 +114,7 @@ func TestFixedLengthCircularCenter(t *testing.T) {
 func TestFixedLengthHoursVariants(t *testing.T) {
 	d := datasetWithMinutes(t, 700)
 	for _, h := range []int{2, 4, 6, 8} {
-		scheds := Compute(FixedLength{Hours: h}, d, 1)
+		scheds := schedules(FixedLength{Hours: h}, d, 1)
 		if got := scheds[0].Len(); got != h*60 {
 			t.Errorf("FixedLength(%dh) length = %d, want %d", h, got, h*60)
 		}
@@ -118,7 +124,7 @@ func TestFixedLengthHoursVariants(t *testing.T) {
 func TestRandomLengthBounds(t *testing.T) {
 	d := datasetWithMinutes(t, 700)
 	for seed := int64(0); seed < 50; seed++ {
-		scheds := Compute(RandomLength{}, d, seed)
+		scheds := schedules(RandomLength{}, d, seed)
 		l := scheds[0].Len()
 		if l < 2*60 || l > 8*60 {
 			t.Fatalf("seed %d: window length %d outside [120,480]", seed, l)
@@ -129,7 +135,7 @@ func TestRandomLengthBounds(t *testing.T) {
 func TestRandomLengthCustomBounds(t *testing.T) {
 	d := datasetWithMinutes(t, 700)
 	m := RandomLength{MinHours: 3, MaxHours: 3}
-	scheds := Compute(m, d, 9)
+	scheds := schedules(m, d, 9)
 	if got := scheds[0].Len(); got != 180 {
 		t.Errorf("degenerate bounds should force 3h, got %d", got)
 	}
@@ -142,7 +148,7 @@ func TestRandomLengthCustomBounds(t *testing.T) {
 
 func TestNoActivityUsersGetRandomWindow(t *testing.T) {
 	d := datasetWithMinutes(t, 100) // user 1 has no created activity
-	scheds := Compute(FixedLength{Hours: 4}, d, 3)
+	scheds := schedules(FixedLength{Hours: 4}, d, 3)
 	if scheds[1].Len() != 240 {
 		t.Errorf("no-activity user should still get a window, got %s", scheds[1])
 	}
@@ -152,8 +158,8 @@ func TestComputeDeterministic(t *testing.T) {
 	cfg := trace.DefaultFacebookConfig(80)
 	d := trace.MustSynthesize(cfg)
 	for _, m := range DefaultModels() {
-		a := Compute(m, d, 42)
-		b := Compute(m, d, 42)
+		a := schedules(m, d, 42)
+		b := schedules(m, d, 42)
 		for u := range a {
 			if !a[u].Equal(b[u]) {
 				t.Fatalf("%s: schedule for user %d not deterministic", m.Name(), u)
@@ -193,7 +199,7 @@ func TestActivityCenterBalanced(t *testing.T) {
 
 func TestSporadicSessionsCapAtFullDay(t *testing.T) {
 	d := datasetWithMinutes(t, 100, 200, 300)
-	scheds := Compute(Sporadic{SessionLength: 48 * time.Hour}, d, 1)
+	scheds := schedules(Sporadic{SessionLength: 48 * time.Hour}, d, 1)
 	if got := scheds[0].Len(); got != interval.DayMinutes {
 		t.Errorf("giant sessions should cover the day, got %d", got)
 	}

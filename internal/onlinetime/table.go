@@ -16,20 +16,12 @@ import (
 // O(1) row views instead of materializing a per-user []interval.Set and
 // re-densifying it once per cell×repetition.
 //
-// Rows are mutable through Bitmap; the sweep engines treat a built table as
+// Rows are mutable through Bitmap; the engines treat a built table as
 // read-only and share it across workers. Sets converts losslessly back to
-// the sorted-interval form for the APIs that still speak it (osn, plotting,
-// tests): for every row, Bitmap(u).Set() equals the Set the legacy
-// Model.ScheduleAll emitted, bit for bit.
+// the sorted-interval serialization form: for every row, Bitmap(u).Set()
+// equals the Set the legacy Model.ScheduleAll emitted, bit for bit.
 type Table struct {
 	rows []interval.Bitmap
-
-	// setsOnce/sets memoize the lossless Sets() conversion, so a table
-	// shared across cells hands every consumer (including trait-less
-	// third-party policies that conservatively ask for interval form) one
-	// conversion instead of one per cell×repetition.
-	setsOnce sync.Once
-	sets     []interval.Set
 }
 
 // NewTable returns an empty-schedule table for the given number of users,
@@ -74,19 +66,14 @@ func (t *Table) Bitmaps() []interval.Bitmap { return t.rows }
 
 // Sets converts every row back to the canonical sorted-interval form. The
 // conversion is lossless and normalized (interval.Bitmap.Set), so the result
-// is exactly what the sequential Set-emitting schedule build produced. It is
-// computed once per table and the same slice is returned to every caller
-// (concurrency-safe); treat it — like the arena rows — as read-only, and do
-// not call Sets concurrently with row mutation (built tables are immutable
-// by convention).
+// is exactly what the sequential Set-emitting schedule build produced. Each
+// call converts afresh and returns a caller-owned slice.
 func (t *Table) Sets() []interval.Set {
-	t.setsOnce.Do(func() {
-		t.sets = make([]interval.Set, len(t.rows))
-		for i := range t.rows {
-			t.sets[i] = t.rows[i].Set()
-		}
-	})
-	return t.sets
+	sets := make([]interval.Set, len(t.rows))
+	for i := range t.rows {
+		sets[i] = t.rows[i].Set()
+	}
+	return sets
 }
 
 // MemoryBytes returns the size of the arena in bytes.

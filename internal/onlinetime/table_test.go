@@ -230,10 +230,10 @@ func TestDegenerateHourKnobs(t *testing.T) {
 	// The clamp is visible end to end: every schedule of a degenerate model
 	// is a window of the clamped length.
 	d := datasetWithMinutes(t, 700)
-	if got := Compute(FixedLength{Hours: 0}, d, 3)[0].Len(); got != 60 {
+	if got := schedules(FixedLength{Hours: 0}, d, 3)[0].Len(); got != 60 {
 		t.Errorf("FixedLength{0} schedule length = %d, want 60", got)
 	}
-	if got := Compute(FixedLength{Hours: 48}, d, 3)[0].Len(); got != interval.DayMinutes {
+	if got := schedules(FixedLength{Hours: 48}, d, 3)[0].Len(); got != interval.DayMinutes {
 		t.Errorf("FixedLength{48} schedule length = %d, want full day", got)
 	}
 
@@ -253,7 +253,7 @@ func TestDegenerateHourKnobs(t *testing.T) {
 				tt.min, tt.max, lo, hi, tt.wantLo, tt.wantHi)
 		}
 	}
-	if got := Compute(RandomLength{MinHours: 30}, d, 5)[0].Len(); got != interval.DayMinutes {
+	if got := schedules(RandomLength{MinHours: 30}, d, 5)[0].Len(); got != interval.DayMinutes {
 		t.Errorf("RandomLength{MinHours:30} schedule length = %d, want full day", got)
 	}
 }
@@ -299,11 +299,11 @@ func TestTableBitmapOutOfRange(t *testing.T) {
 func TestComputeTableMatchesCompute(t *testing.T) {
 	d := trace.MustSynthesize(trace.DefaultFacebookConfig(60))
 	for _, m := range DefaultModels() {
-		sets := Compute(m, d, 11)
+		sets := schedules(m, d, 11)
 		table := ComputeTable(m, d, 11, 3)
 		for u, s := range table.Sets() {
 			if !s.Equal(sets[u]) {
-				t.Fatalf("%s: user %d: ComputeTable %s != Compute %s", m.Name(), u, s, sets[u])
+				t.Fatalf("%s: user %d: ComputeTable %s != ScheduleAll %s", m.Name(), u, s, sets[u])
 			}
 		}
 	}

@@ -15,12 +15,12 @@ import (
 // replica 2 online [150,270). Creator 3 online [30,90).
 func threeNodeConfig(posts []PostEvent) Config {
 	return Config{
-		Schedules: []interval.Set{
+		Schedules: interval.BitmapsFromSets([]interval.Set{
 			0: interval.Window(0, 120),
 			1: interval.Window(60, 120),
 			2: interval.Window(150, 120),
 			3: interval.Window(30, 60),
-		},
+		}),
 		Assignments: map[NodeID][]NodeID{0: {1, 2}},
 		Days:        3,
 		Posts:       posts,
@@ -31,11 +31,11 @@ func TestValidation(t *testing.T) {
 	if _, err := NewNetwork(Config{Days: 1}); !errors.Is(err, ErrNoSchedules) {
 		t.Errorf("err = %v, want ErrNoSchedules", err)
 	}
-	if _, err := NewNetwork(Config{Schedules: []interval.Set{interval.FullDay()}}); !errors.Is(err, ErrBadHorizon) {
+	if _, err := NewNetwork(Config{Schedules: []interval.Bitmap{interval.FullDay().Bitmap()}}); !errors.Is(err, ErrBadHorizon) {
 		t.Errorf("err = %v, want ErrBadHorizon", err)
 	}
 	_, err := NewNetwork(Config{
-		Schedules:   []interval.Set{interval.FullDay()},
+		Schedules:   []interval.Bitmap{interval.FullDay().Bitmap()},
 		Assignments: map[NodeID][]NodeID{5: nil},
 		Days:        1,
 	})
@@ -43,7 +43,7 @@ func TestValidation(t *testing.T) {
 		t.Errorf("err = %v, want ErrBadID", err)
 	}
 	_, err = NewNetwork(Config{
-		Schedules: []interval.Set{interval.FullDay()},
+		Schedules: []interval.Bitmap{interval.FullDay().Bitmap()},
 		Days:      1,
 		Posts:     []PostEvent{{Creator: 9, Wall: 0}},
 	})
@@ -115,10 +115,10 @@ func TestImmediateFractionReflectsGroupPresence(t *testing.T) {
 
 func TestOwnerOnlyWallDegreeZero(t *testing.T) {
 	cfg := Config{
-		Schedules: []interval.Set{
+		Schedules: interval.BitmapsFromSets([]interval.Set{
 			0: interval.Window(0, 60),
 			1: interval.Window(30, 60),
-		},
+		}),
 		Days:  2,
 		Posts: []PostEvent{{At: 40, Creator: 1, Wall: 0, Body: "solo"}},
 	}
@@ -152,12 +152,12 @@ func TestMeasuredDelayBoundedByAnalytic(t *testing.T) {
 	// The analytic update-propagation delay is a worst-case bound; the
 	// measured per-post maximum must stay below it (plus the 1-minute
 	// propagation-round latency per hop).
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 120),
 		1: interval.Window(60, 120),
 		2: interval.Window(150, 120),
 		3: interval.Window(30, 60),
-	}
+	})
 	replicas := []socialgraph.UserID{1, 2}
 	analytic := metrics.UpdatePropagationDelay(0, replicas, schedules)
 
@@ -306,10 +306,10 @@ func TestReadValidation(t *testing.T) {
 
 func TestReadOnUnassignedWallDefaultsToOwnerOnly(t *testing.T) {
 	cfg := Config{
-		Schedules: []interval.Set{
+		Schedules: interval.BitmapsFromSets([]interval.Set{
 			0: interval.Window(0, 60),
 			1: interval.Window(30, 60),
-		},
+		}),
 		Days:  1,
 		Reads: []ReadEvent{{At: 40, Reader: 1, Wall: 0}, {At: 70, Reader: 1, Wall: 0}},
 	}
@@ -440,11 +440,11 @@ func TestPeerPruningKeepsMeasurements(t *testing.T) {
 	// Nodes 0 and 2 share wall 0's group but are never online together;
 	// node 1 overlaps both.
 	cfg := Config{
-		Schedules: []interval.Set{
+		Schedules: interval.BitmapsFromSets([]interval.Set{
 			0: interval.Window(0, 120),
 			1: interval.Window(60, 120),
 			2: interval.Window(150, 60),
-		},
+		}),
 		Assignments: map[NodeID][]NodeID{0: {1, 2}},
 		Days:        2,
 		Posts:       []PostEvent{{At: 10, Creator: 0, Wall: 0, Body: "x"}},
@@ -472,10 +472,10 @@ func TestPeerPruningKeepsMeasurements(t *testing.T) {
 // one-minute-dilated schedules and keep abutting pairs.
 func TestPeerPruningKeepsAbuttingSessions(t *testing.T) {
 	cfg := Config{
-		Schedules: []interval.Set{
+		Schedules: interval.BitmapsFromSets([]interval.Set{
 			0: interval.Window(60, 120), // online event at 60 fires first (lower ID)
 			1: interval.Window(0, 60),   // offline event at 60 fires second
-		},
+		}),
 		Assignments: map[NodeID][]NodeID{0: {1}},
 		Days:        2,
 		Posts:       []PostEvent{{At: 70, Creator: 0, Wall: 0, Body: "x"}},
@@ -493,10 +493,10 @@ func TestPeerPruningKeepsAbuttingSessions(t *testing.T) {
 	}
 
 	// A pair separated by a real gap (≥1 minute on both sides) stays pruned.
-	cfg.Schedules = []interval.Set{
+	cfg.Schedules = interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(62, 120),
 		1: interval.Window(0, 60),
-	}
+	})
 	net, err = NewNetwork(cfg)
 	if err != nil {
 		t.Fatalf("NewNetwork(gapped): %v", err)

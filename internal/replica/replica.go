@@ -47,18 +47,11 @@ type Input struct {
 	// Candidates are the owner's friends (Facebook) or followers (Twitter):
 	// the trusted nodes eligible to host a replica.
 	Candidates []socialgraph.UserID
-	// Schedules holds the online-time set of every user, indexed by UserID.
-	// Sweep engines that populate Bitmaps may leave it nil for policies
-	// whose Traits report UsesSchedules false (all built-in policies): the
-	// dense rows carry the same information and every overlap computation
-	// answers identically on either representation.
-	Schedules []interval.Set
-	// Bitmaps optionally holds the dense form of the schedules (same
-	// indexing, e.g. the arena rows of an onlinetime.Table). When set,
-	// policies run their overlap arithmetic on O(words) bitmap operations
-	// instead of interval merges; results are bit-identical either way.
-	// Sweep engines populate it once per (dataset, model, repetition) and
-	// share it read-only across workers.
+	// Bitmaps holds the dense online-time schedule of every user, indexed by
+	// UserID (e.g. the arena rows of an onlinetime.Table). An ID outside it
+	// reads as the empty schedule. Sweep engines populate it once per
+	// (dataset, model, repetition) and share it read-only across workers;
+	// policies must not modify it.
 	Bitmaps []interval.Bitmap
 	// InteractionCounts gives, per candidate, the number of activities the
 	// candidate created on the owner's profile. Only MostActive reads it.
@@ -74,54 +67,40 @@ type Input struct {
 	// the owner's profile in the past. Only MaxAv with
 	// ObjectiveOnDemandActivity reads it (§III-A: the set-cover universe is
 	// "the union of the activity times of all friends observed during a
-	// pre-defined time in the past").
-	Demand interval.Set
+	// pre-defined time in the past"). Nil reads as the empty set.
+	Demand *interval.Bitmap
 	// Mode selects ConRep or UnconRep placement.
 	Mode Mode
 	// Budget is the maximum replication degree (number of replicas).
 	Budget int
 }
 
-func (in *Input) schedule(u socialgraph.UserID) interval.Set {
-	if u < 0 || int(u) >= len(in.Schedules) {
-		return interval.Empty
-	}
-	return in.Schedules[u]
-}
+// emptySchedule is the schedule of an ID outside Input.Bitmaps. Shared and
+// never written.
+var emptySchedule interval.Bitmap
 
-// bitmap returns the precomputed dense schedule of u, or nil when the caller
-// did not supply Bitmaps (or u is out of range).
-func (in *Input) bitmap(u socialgraph.UserID) *interval.Bitmap {
-	if in.Bitmaps == nil || u < 0 || int(u) >= len(in.Bitmaps) {
-		return nil
+// Schedule returns the dense schedule of u, or the empty schedule when u
+// lies outside Bitmaps. Policies outside this package (the DHT placements)
+// read schedules through it so every policy treats unknown IDs alike. The
+// result must not be modified.
+func (in *Input) Schedule(u socialgraph.UserID) *interval.Bitmap {
+	if u < 0 || int(u) >= len(in.Bitmaps) {
+		return &emptySchedule
 	}
 	return &in.Bitmaps[u]
 }
 
 // Connected reports whether candidate c is time-connected to the owner or to
-// any already chosen replica. With precomputed bitmaps the pairwise checks
-// are word-wise AND scans; without them the sorted-interval sweep is used.
-// Both answer identically. Exported so policy implementations outside this
-// package (the DHT placements in internal/dht) can honor ConRep mode with
-// the identical rule.
+// any already chosen replica: word-wise AND scans over the dense schedules.
+// Exported so policy implementations outside this package (the DHT
+// placements in internal/dht) can honor ConRep mode with the identical rule.
 func (in *Input) Connected(c socialgraph.UserID, chosen []socialgraph.UserID) bool {
-	if cb := in.bitmap(c); cb != nil {
-		if ob := in.bitmap(in.Owner); ob != nil && cb.Intersects(ob) {
-			return true
-		}
-		for _, r := range chosen {
-			if rb := in.bitmap(r); rb != nil && cb.Intersects(rb) {
-				return true
-			}
-		}
-		return false
-	}
-	ot := in.schedule(c)
-	if ot.Overlaps(in.schedule(in.Owner)) {
+	cb := in.Schedule(c)
+	if cb.Intersects(in.Schedule(in.Owner)) {
 		return true
 	}
 	for _, r := range chosen {
-		if ot.Overlaps(in.schedule(r)) {
+		if cb.Intersects(in.Schedule(r)) {
 			return true
 		}
 	}
@@ -166,15 +145,6 @@ type Traits struct {
 	UsesInteractions bool
 	// UsesDemand reports whether Input.Demand is read.
 	UsesDemand bool
-	// UsesSchedules reports whether Select reads Input.Schedules even when
-	// Input.Bitmaps is populated — i.e. the policy needs the sorted-interval
-	// form itself, not just the minute-set information. Engines that supply
-	// Bitmaps skip materializing the per-user []interval.Set for policies
-	// that leave this false; engines that do not supply Bitmaps must always
-	// provide Schedules regardless of this trait. Every built-in policy
-	// (and the DHT placements) answers all overlap questions on the dense
-	// rows, so none declares it.
-	UsesSchedules bool
 }
 
 // TraitedPolicy is optionally implemented by policies that can declare their
@@ -190,7 +160,7 @@ func TraitsOf(p Policy) Traits {
 	if tp, ok := p.(TraitedPolicy); ok {
 		return tp.Traits()
 	}
-	return Traits{UsesRNG: true, UsesInteractions: true, UsesDemand: true, UsesSchedules: true}
+	return Traits{UsesRNG: true, UsesInteractions: true, UsesDemand: true}
 }
 
 // Compile-time interface checks.
@@ -247,12 +217,9 @@ func (m MaxAv) Traits() Traits {
 }
 
 // Select implements Policy. The greedy loop runs entirely on the dense
-// bitmap representation: the covered set is one scratch bitmap, marginal
-// gains are fused popcounts (|OT_c \ covered|, restricted to the demand
-// universe for the activity objective), and each round's union is an
-// in-place word-wise OR. When Input.Bitmaps is absent the candidate
-// schedules are converted once up front; either way the chosen sequence is
-// bit-identical to the sorted-interval arithmetic this replaces.
+// schedules: the covered set is one scratch bitmap, marginal gains are fused
+// popcounts (|OT_c \ covered|, restricted to the demand universe for the
+// activity objective), and each round's union is an in-place word-wise OR.
 func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 	chosen := make([]socialgraph.UserID, 0, in.Budget)
 	// taken is indexed by candidate position, not ID. A duplicate candidate
@@ -262,35 +229,21 @@ func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 	taken := make([]bool, len(in.Candidates))
 	restricted := m.Objective == ObjectiveOnDemandActivity
 
-	// Dense candidate schedules: pointers into the shared precomputed slice
-	// when available, one local conversion per candidate otherwise. Sizes are
-	// cached so each greedy probe needs a single overlap popcount
+	// Candidate schedules are pointers into the shared rows. Sizes are cached
+	// so each greedy probe needs a single overlap popcount
 	// (gain = size − overlap).
 	cand := make([]*interval.Bitmap, len(in.Candidates))
 	size := make([]int, len(in.Candidates))
-	var local []interval.Bitmap
-	if in.Bitmaps == nil {
-		local = make([]interval.Bitmap, len(in.Candidates))
-	}
 	for i, c := range in.Candidates {
-		bm := in.bitmap(c)
-		if bm == nil {
-			local[i].SetFrom(in.schedule(c))
-			bm = &local[i]
-		}
-		cand[i] = bm
-		size[i] = bm.Minutes()
+		cand[i] = in.Schedule(c)
+		size[i] = cand[i].Minutes()
 	}
 
 	var covered interval.Bitmap // the owner always hosts his profile
-	if ob := in.bitmap(in.Owner); ob != nil {
-		covered.CopyFrom(ob)
-	} else {
-		covered.SetFrom(in.schedule(in.Owner))
-	}
-	var demand interval.Bitmap
-	if restricted {
-		demand.SetFrom(in.Demand)
+	covered.CopyFrom(in.Schedule(in.Owner))
+	demand := in.Demand
+	if demand == nil {
+		demand = &emptySchedule
 	}
 
 	// ConRep connectivity, maintained incrementally: conn[i] starts as
@@ -336,7 +289,7 @@ func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 			var gain int
 			if restricted {
 				// Contribution inside the demand universe only.
-				gain = cand[i].MinutesInNotIn(&demand, &covered)
+				gain = cand[i].MinutesInNotIn(demand, &covered)
 			} else {
 				gain = size[i] - overlap // |OT_c \ covered|
 			}

@@ -23,7 +23,7 @@ func fixture(mode Mode, budget int) Input {
 	return Input{
 		Owner:      0,
 		Candidates: []socialgraph.UserID{1, 2, 3, 4, 5},
-		Schedules:  schedules,
+		Bitmaps:    interval.BitmapsFromSets(schedules),
 		Mode:       mode,
 		Budget:     budget,
 	}
@@ -198,7 +198,7 @@ func TestConnectivityChainGrows(t *testing.T) {
 	in := Input{
 		Owner:      0,
 		Candidates: []socialgraph.UserID{3, 2, 1}, // order must not matter
-		Schedules:  schedules,
+		Bitmaps:    interval.BitmapsFromSets(schedules),
 		Mode:       ConRep,
 		Budget:     3,
 	}
@@ -219,7 +219,7 @@ func TestEmptyScheduleCandidateNeverConnects(t *testing.T) {
 	in := Input{
 		Owner:      0,
 		Candidates: []socialgraph.UserID{1},
-		Schedules:  schedules,
+		Bitmaps:    interval.BitmapsFromSets(schedules),
 		Mode:       ConRep,
 		Budget:     1,
 	}
@@ -255,7 +255,7 @@ func dominanceFixture(seed int64) (ma, rd []socialgraph.UserID, cov func([]socia
 	for i := 1; i < n; i++ {
 		cands = append(cands, socialgraph.UserID(i))
 	}
-	in := Input{Owner: 0, Candidates: cands, Schedules: schedules, Mode: UnconRep, Budget: 3}
+	in := Input{Owner: 0, Candidates: cands, Bitmaps: interval.BitmapsFromSets(schedules), Mode: UnconRep, Budget: 3}
 	ma = MaxAv{}.Select(in, nil)
 	rd = Random{}.Select(in, rng)
 	cov = func(rs []socialgraph.UserID) int {
@@ -329,7 +329,7 @@ func TestQuickConRepAlwaysConnected(t *testing.T) {
 			counts[socialgraph.UserID(i)] = rng.Intn(5)
 		}
 		in := Input{
-			Owner: 0, Candidates: cands, Schedules: schedules,
+			Owner: 0, Candidates: cands, Bitmaps: interval.BitmapsFromSets(schedules),
 			InteractionCounts: counts, Mode: ConRep, Budget: 4,
 		}
 		p := policies[int(policyIdx)%len(policies)]
@@ -369,7 +369,7 @@ func TestQuickSelectionWellFormed(t *testing.T) {
 			mode = UnconRep
 		}
 		in := Input{
-			Owner: 0, Candidates: cands, Schedules: schedules,
+			Owner: 0, Candidates: cands, Bitmaps: interval.BitmapsFromSets(schedules),
 			InteractionCounts: counts, Mode: mode, Budget: budget,
 		}
 		p := policies[int(policyIdx)%len(policies)]
@@ -417,41 +417,46 @@ func randomInput(rng *rand.Rand, mode Mode) Input {
 	for _, c := range candidates {
 		counts[c] = rng.Intn(4)
 	}
-	demand := interval.Window(rng.Intn(interval.DayMinutes), rng.Intn(600))
+	demand := interval.Window(rng.Intn(interval.DayMinutes), rng.Intn(600)).Bitmap()
 	return Input{
 		Owner:             0,
 		Candidates:        candidates,
-		Schedules:         schedules,
+		Bitmaps:           interval.BitmapsFromSets(schedules),
 		InteractionCounts: counts,
-		Demand:            demand,
+		Demand:            &demand,
 		Mode:              mode,
 		Budget:            1 + rng.Intn(6),
 	}
 }
 
-// TestPoliciesAgreeWithAndWithoutBitmaps pins the core determinism claim of
-// the dense engine: supplying Input.Bitmaps must never change any policy's
-// selection — same candidates, same order, same RNG consumption.
-func TestPoliciesAgreeWithAndWithoutBitmaps(t *testing.T) {
+// TestOutOfRangeCandidateIsEmptySchedule: a candidate ID outside
+// Input.Bitmaps reads as the empty schedule. Every built-in policy must
+// select exactly what it selects when that candidate's row exists and is
+// empty — same replicas, same order, same RNG consumption — and must not
+// panic (MaxAv once indexed a nil per-candidate slice here).
+func TestOutOfRangeCandidateIsEmptySchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	policies := []Policy{
 		MaxAv{}, MaxAv{Objective: ObjectiveOnDemandActivity}, MostActive{}, Random{},
 	}
 	for i := 0; i < 250; i++ {
 		for _, mode := range []Mode{ConRep, UnconRep} {
-			in := randomInput(rng, mode)
-			dense := in
-			dense.Bitmaps = interval.BitmapsFromSets(in.Schedules)
+			short := randomInput(rng, mode)
+			outside := socialgraph.UserID(len(short.Bitmaps))
+			short.Candidates = append(short.Candidates, outside)
+			short.InteractionCounts[outside] = rng.Intn(4)
+			padded := short
+			padded.Bitmaps = append(short.Bitmaps[:len(short.Bitmaps):len(short.Bitmaps)], interval.Bitmap{})
 			for _, p := range policies {
 				seed := rng.Int63()
-				sparse := p.Select(in, rand.New(rand.NewSource(seed)))
-				got := p.Select(dense, rand.New(rand.NewSource(seed)))
-				if len(sparse) != len(got) {
-					t.Fatalf("%s/%v: dense len %d vs sparse %d", p.Name(), mode, len(got), len(sparse))
+				want := p.Select(padded, rand.New(rand.NewSource(seed)))
+				got := p.Select(short, rand.New(rand.NewSource(seed)))
+				if len(got) != len(want) {
+					t.Fatalf("%s/%v: out-of-range %v vs empty row %v", p.Name(), mode, got, want)
 				}
-				for j := range sparse {
-					if sparse[j] != got[j] {
-						t.Fatalf("%s/%v: dense %v vs sparse %v", p.Name(), mode, got, sparse)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%s/%v: out-of-range %v vs empty row %v", p.Name(), mode, got, want)
 					}
 				}
 			}
