@@ -71,14 +71,23 @@ func figValue(b *testing.B, fig dosn.Figure, label string, xi int) float64 {
 	return -1
 }
 
+// freshSuite returns a suite over the shared datasets with no sweeps kept,
+// so every benchmark iteration computes its figures instead of reading back
+// sweeps an earlier iteration or benchmark already ran.
+func freshSuite(b *testing.B) *dosn.Suite {
+	s := suite(b)
+	return &dosn.Suite{Facebook: s.Facebook, Twitter: s.Twitter, Opts: s.Opts}
+}
+
 // benchPanels regenerates a set of panels b.N times and reports the
 // requested headline value from the first panel.
 func benchPanels(b *testing.B, ids []string, reportSeries, metricName string, xi int) {
-	s := suite(b)
+	suite(b) // synthesize the shared datasets outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	var headline float64
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		for j, id := range ids {
 			fig, err := s.Figure(id)
 			if err != nil {
@@ -95,12 +104,12 @@ func benchPanels(b *testing.B, ids []string, reportSeries, metricName string, xi
 // --- Fig. 2: degree distribution -----------------------------------------
 
 func BenchmarkFig02DegreeDistribution(b *testing.B) {
-	s := suite(b)
+	suite(b) // synthesize the shared datasets outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	var users float64
 	for i := 0; i < b.N; i++ {
-		fig, err := s.Figure("fig2")
+		fig, err := freshSuite(b).Figure("fig2")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,10 +37,9 @@ import (
 // values are never read back on this side of the obs boundary, so results
 // stay a pure function of (spec, seed).
 var (
-	obsChunksSwept     = obs.C("core.sweep_chunks")
-	obsUsersSwept      = obs.C("core.sweep_users")
-	obsRNGSeeded       = obs.C("core.rng_seeded")
-	obsTablesPipelined = obs.C("core.tables_pipelined")
+	obsChunksSwept = obs.C("core.sweep_chunks")
+	obsUsersSwept  = obs.C("core.sweep_users")
+	obsRNGSeeded   = obs.C("core.rng_seeded")
 )
 
 // Failpoints on the sweep's fragile seams (see internal/fault): disabled
@@ -122,21 +121,13 @@ type Config struct {
 	// the result bits are identical for any ShardUsers value, exactly as
 	// for any Workers value.
 	ShardUsers int
-	// NoPipeline disables the repetition pipeline: by default, when the
-	// sweep must build its own schedule tables (no Schedules entry for the
-	// repetition), the table for repetition r+1 is built concurrently with
-	// the sweep of repetition r, bounded to one table in flight, and grids
-	// are still merged in repetition order. Each repetition's randomness is
-	// an independent stream seeded by (Seed, rep), so the table bytes — and
-	// therefore the results — are bit-identical pipelined or serial; this
-	// knob exists for A/B tests and constrained-memory runs (one extra
-	// table alive during the overlap).
+	// NoPipeline is ignored. Run builds and sweeps repetitions one after
+	// the other; the field remains only for existing callers that set it.
 	NoPipeline bool
 	// Obs, when non-nil, receives execution telemetry for this sweep:
 	// fine-grained phase accumulation (sweep-shards vs reduce), per-chunk
-	// counts, per-worker busy time, and the repetition pipeline's stall
-	// time. Execution-only, exactly like Workers and ShardUsers: a nil or
-	// non-nil Obs never changes the result bits.
+	// counts and per-worker busy time. Execution-only, exactly like Workers
+	// and ShardUsers: a nil or non-nil Obs never changes the result bits.
 	Obs *obs.CellObs
 	// Schedules optionally supplies precomputed per-repetition schedule
 	// tables (Schedules[rep], user-indexed arena rows). When set for a
@@ -175,14 +166,6 @@ func (c *Config) fill() error {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
-	}
-	// The repetition pipeline overlaps the next table build with the
-	// current sweep; with no spare core that overlap only interleaves the
-	// two on one CPU while an extra table stays live, so it is gated off.
-	// Execution-only: results are bit-identical pipelined or serial
-	// (pinned by TestRunPipelineBitIdentical).
-	if runtime.NumCPU() == 1 {
-		c.NoPipeline = true
 	}
 	for rep, t := range c.Schedules {
 		if t != nil && t.NumUsers() < c.Dataset.NumUsers() {
@@ -259,7 +242,9 @@ func (r *Result) Value(policy, degreeIdx int, m Metric) float64 {
 	return r.Cells[policy][degreeIdx].value(m)
 }
 
-// Run executes the sweep described by cfg.
+// Run executes the sweep described by cfg: for each repetition in turn it
+// takes the supplied schedule table or builds one, sweeps it, and merges the
+// repetition's grid into the result.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -280,64 +265,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Cells = newGrid(len(cfg.Policies), cfg.MaxDegree+1)
 
-	// Repetition pipeline: while repetition r sweeps, the schedule table of
-	// repetition r+1 builds in the background (one table in flight). Each
-	// repetition's RNG stream is seeded independently by (Seed, rep), so
-	// build order cannot change a byte; grids still merge in rep order. A
-	// panic inside the pipelined build is recovered at the goroutine
-	// boundary and delivered through the channel as this repetition's error
-	// — a crashing build must fail the sweep, never the process.
-	var next chan builtTable
 	for rep := 0; rep < cfg.Repeats; rep++ {
-		var table *onlinetime.Table
-		switch {
-		case next != nil:
-			var sw obs.Watch
-			if cfg.Obs != nil {
-				sw = obs.StartWatch()
-			}
-			bt := <-next
-			next = nil
-			if cfg.Obs != nil {
-				// Stall: sweep r-1 finished before table r was ready.
-				cfg.Obs.AddPhaseNS("pipeline-stall", sw.ElapsedNS())
-			}
-			if bt.err != nil {
-				return nil, bt.err
-			}
-			table = bt.t
-		case cfg.providedTable(rep) != nil:
-			table = cfg.providedTable(rep)
-		default:
-			var sw obs.Watch
-			if cfg.Obs != nil {
-				sw = obs.StartWatch()
-			}
+		table := cfg.providedTable(rep)
+		if table == nil {
 			table = cfg.buildTable(ds, rep)
-			if cfg.Obs != nil {
-				cfg.Obs.AddPhaseNS("schedule-build", sw.ElapsedNS())
-			}
-		}
-		if !cfg.NoPipeline && rep+1 < cfg.Repeats && cfg.providedTable(rep+1) == nil {
-			next = make(chan builtTable, 1)
-			go func(rep int, out chan<- builtTable) {
-				defer func() {
-					//dosn:recover pipelined-build boundary: a panic while prebuilding the next repetition's table becomes that repetition's error via the channel
-					if r := recover(); r != nil {
-						out <- builtTable{err: fault.PanicError("core: pipelined schedule build", r, debug.Stack())}
-					}
-				}()
-				var sw obs.Watch
-				if cfg.Obs != nil {
-					sw = obs.StartWatch()
-				}
-				t := cfg.buildTable(ds, rep)
-				if cfg.Obs != nil {
-					cfg.Obs.AddPhaseNS("schedule-build", sw.ElapsedNS())
-				}
-				obsTablesPipelined.Inc()
-				out <- builtTable{t: t}
-			}(rep+1, next)
 		}
 		grid, err := sweepOnce(cfg, table, rep)
 		if err != nil {
@@ -346,13 +277,6 @@ func Run(cfg Config) (*Result, error) {
 		mergeGrids(res.Cells, grid)
 	}
 	return res, nil
-}
-
-// builtTable is the repetition pipeline's channel payload: the prebuilt
-// table, or the error a recovered build panic was converted into.
-type builtTable struct {
-	t   *onlinetime.Table
-	err error
 }
 
 // providedTable returns the caller-supplied schedule table for a repetition,
@@ -365,9 +289,8 @@ func (c *Config) providedTable(rep int) *onlinetime.Table {
 }
 
 // buildTable builds the schedule table of one repetition from the
-// repetition's independent RNG stream. Pure function of (dataset, model,
-// seed, rep): the pipeline may run it concurrently with another
-// repetition's sweep without reordering any randomness.
+// repetition's independent RNG stream: a pure function of (dataset, model,
+// seed, rep).
 func (c *Config) buildTable(ds *trace.Dataset, rep int) *onlinetime.Table {
 	return c.Model.BuildTable(ds, rand.New(rand.NewSource(mix(c.Seed, int64(rep)))), c.Workers)
 }

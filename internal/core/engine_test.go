@@ -340,33 +340,3 @@ func TestSweepWorkerPoolCappedByChunks(t *testing.T) {
 		t.Errorf("WorkerSpans = %d, want 2 (one per single-chunk batch)", got)
 	}
 }
-
-// TestRunPipelineBitIdentical pins the repetition pipeline's bit-identity:
-// building rep r+1's table in the background while rep r sweeps must yield
-// exactly the serial result, for any worker count, because each repetition's
-// RNG stream is independently seeded (mix(seed, rep)) and grids merge in
-// repetition order.
-func TestRunPipelineBitIdentical(t *testing.T) {
-	ds := testDataset(t)
-	base := Config{
-		Dataset: ds, Model: onlinetime.Sporadic{}, Mode: replica.ConRep,
-		MaxDegree: 4, UserDegree: 10, Repeats: 3, Seed: 11,
-	}
-	serial := base
-	serial.NoPipeline = true
-	want, err := Run(serial)
-	if err != nil {
-		t.Fatalf("Run(serial): %v", err)
-	}
-	for _, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Workers = workers
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run(pipelined, workers=%d): %v", workers, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("pipelined result (workers=%d) differs bitwise from serial reference", workers)
-		}
-	}
-}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"dosn/internal/onlinetime"
@@ -108,31 +110,6 @@ func datasetTitle(name string) string {
 	}
 }
 
-// RunPanel executes the sweep behind one panel and returns the figure.
-func RunPanel(ds *trace.Dataset, spec PanelSpec, opts Options) (plot.Figure, error) {
-	opts = opts.fill()
-	res, err := Run(Config{
-		Dataset:    ds,
-		Model:      spec.Model,
-		Mode:       spec.Mode,
-		MaxDegree:  opts.MaxDegree,
-		UserDegree: opts.UserDegree,
-		Repeats:    opts.Repeats,
-		Seed:       opts.Seed,
-		Workers:    opts.Workers,
-	})
-	if err != nil {
-		return plot.Figure{}, fmt.Errorf("panel %s: %w", spec.ID, err)
-	}
-	return plot.Figure{
-		ID:     spec.ID,
-		Title:  spec.Title,
-		XLabel: "replication degree",
-		YLabel: spec.Metric.String(),
-		Series: res.MetricSeries(spec.Metric),
-	}, nil
-}
-
 // MetricSeries extracts one plottable series per policy for the metric.
 func (r *Result) MetricSeries(m Metric) []plot.Series {
 	out := make([]plot.Series, len(r.Policies))
@@ -180,124 +157,36 @@ func DegreeDistributionFigure(datasets ...*trace.Dataset) plot.Figure {
 // 100 s – 100 000 s).
 var SessionLengthSeconds = []float64{100, 300, 1000, 3000, 10000, 30000, 100000}
 
-// SessionLengthFigure reproduces one panel of Fig. 8: a metric as a function
-// of the Sporadic session length at a fixed replication degree of 3.
-func SessionLengthFigure(ds *trace.Dataset, metric Metric, opts Options) (plot.Figure, error) {
-	opts = opts.fill()
-	const fixedDegree = 3
-	fig := plot.Figure{
-		ID:     "fig8" + sessionPanelSuffix(metric),
-		Title:  fmt.Sprintf("Effect of session length in Sporadic (degree %d): %s", fixedDegree, metric),
-		XLabel: "session length (sec)",
-		YLabel: metric.String(),
-		LogX:   true,
-	}
-	var results []*Result
-	for _, sec := range SessionLengthSeconds {
-		res, err := Run(Config{
-			Dataset:    ds,
-			Model:      onlinetime.Sporadic{SessionLength: time.Duration(sec) * time.Second},
-			Mode:       replica.ConRep,
-			MaxDegree:  fixedDegree,
-			UserDegree: opts.UserDegree,
-			Repeats:    opts.Repeats,
-			Seed:       opts.Seed,
-			Workers:    opts.Workers,
-		})
-		if err != nil {
-			return plot.Figure{}, fmt.Errorf("session %.0fs: %w", sec, err)
-		}
-		results = append(results, res)
-	}
-	for pi, name := range results[0].Policies {
-		xs := make([]float64, len(results))
-		ys := make([]float64, len(results))
-		for i, res := range results {
-			xs[i] = SessionLengthSeconds[i]
-			ys[i] = res.Last(pi, metric)
-		}
-		fig.Series = append(fig.Series, plot.Series{Label: name, X: xs, Y: ys})
-	}
-	return fig, nil
-}
-
-func sessionPanelSuffix(m Metric) string {
-	switch m {
-	case MetricAvailability:
-		return "a"
-	case MetricAoDTime:
-		return "b"
-	case MetricAoDActivity:
-		return "c"
-	case MetricDelayHours:
-		return "d"
-	default:
-		return "x"
-	}
-}
-
-// UserDegreeFigure reproduces one panel of Fig. 9: a metric as a function of
-// the user degree (1..10) with the replication degree allowed to reach the
-// user degree (all friends may host replicas).
-func UserDegreeFigure(ds *trace.Dataset, metric Metric, opts Options) (plot.Figure, error) {
-	opts = opts.fill()
-	suffix := "a"
-	if metric == MetricDelayHours {
-		suffix = "b"
-	}
-	fig := plot.Figure{
-		ID:     "fig9" + suffix,
-		Title:  fmt.Sprintf("Effect of user degree in Sporadic: %s", metric),
-		XLabel: "user degree",
-		YLabel: metric.String(),
-	}
-	type row struct {
-		degree int
-		res    *Result
-	}
-	var rows []row
-	for d := 1; d <= opts.UserDegree; d++ {
-		users := ds.Graph.UsersWithDegree(d)
-		if len(users) == 0 {
-			continue
-		}
-		res, err := Run(Config{
-			Dataset:   ds,
-			Model:     onlinetime.Sporadic{},
-			Mode:      replica.ConRep,
-			MaxDegree: d, // highest possible replication degree for the user degree
-			Users:     users,
-			Repeats:   opts.Repeats,
-			Seed:      opts.Seed,
-			Workers:   opts.Workers,
-		})
-		if err != nil {
-			return plot.Figure{}, fmt.Errorf("user degree %d: %w", d, err)
-		}
-		rows = append(rows, row{degree: d, res: res})
-	}
-	if len(rows) == 0 {
-		return plot.Figure{}, fmt.Errorf("fig9%s: %w", suffix, ErrNoUsers)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].degree < rows[j].degree })
-	for pi, name := range rows[0].res.Policies {
-		xs := make([]float64, len(rows))
-		ys := make([]float64, len(rows))
-		for i, rw := range rows {
-			xs[i] = float64(rw.degree)
-			ys[i] = rw.res.Last(pi, metric)
-		}
-		fig.Series = append(fig.Series, plot.Series{Label: name, X: xs, Y: ys})
-	}
-	return fig, nil
-}
-
 // Suite binds the two datasets and regenerates any figure of the paper by
 // its identifier ("fig2", "fig3a" … "fig11d").
+//
+// Every sweep-based figure is a projection of a replication-degree sweep
+// the suite runs once and keeps: the four Facebook ConRep sweeps serve
+// Figs. 3, 5, 6 and 7, the seven session-length sweeps serve all of
+// Fig. 8, and the user-degree sweeps serve both panels of Fig. 9. A sweep
+// is keyed by everything its result depends on, so changing Opts (other
+// than Workers) or a dataset after a call computes fresh sweeps. Figure is
+// safe for concurrent use; a Suite must not be copied after first use.
 type Suite struct {
 	Facebook *trace.Dataset
 	Twitter  *trace.Dataset
 	Opts     Options
+
+	mu     sync.Mutex
+	sweeps map[sweepKey]*Result
+}
+
+// sweepKey identifies one sweep of the suite. It holds the model value, not
+// its Name(): Sporadic.Name() ignores SessionLength. Workers is left out
+// because the result does not depend on it.
+type sweepKey struct {
+	ds         *trace.Dataset
+	model      onlinetime.Model
+	mode       replica.Mode
+	maxDegree  int
+	userDegree int
+	repeats    int
+	seed       int64
 }
 
 // FigureIDs lists every figure the suite can regenerate, in paper order.
@@ -312,34 +201,182 @@ func (s *Suite) FigureIDs() []string {
 
 // Figure regenerates the figure with the given identifier.
 func (s *Suite) Figure(id string) (plot.Figure, error) {
+	fig, err := s.figure(id, s.Opts.fill())
+	if err != nil {
+		return plot.Figure{}, fmt.Errorf("figure %s: %w", id, err)
+	}
+	return fig, nil
+}
+
+func (s *Suite) figure(id string, opts Options) (plot.Figure, error) {
 	switch id {
 	case "fig2":
+		for _, name := range []string{"facebook", "twitter"} {
+			if _, err := s.dataset(name); err != nil {
+				return plot.Figure{}, err
+			}
+		}
 		return DegreeDistributionFigure(s.Facebook, s.Twitter), nil
 	case "fig8a":
-		return SessionLengthFigure(s.Facebook, MetricAvailability, s.Opts)
+		return s.sessionLengthFigure(id, MetricAvailability, opts)
 	case "fig8b":
-		return SessionLengthFigure(s.Facebook, MetricAoDTime, s.Opts)
+		return s.sessionLengthFigure(id, MetricAoDTime, opts)
 	case "fig8c":
-		return SessionLengthFigure(s.Facebook, MetricAoDActivity, s.Opts)
+		return s.sessionLengthFigure(id, MetricAoDActivity, opts)
 	case "fig8d":
-		return SessionLengthFigure(s.Facebook, MetricDelayHours, s.Opts)
+		return s.sessionLengthFigure(id, MetricDelayHours, opts)
 	case "fig9a":
-		return UserDegreeFigure(s.Facebook, MetricAvailability, s.Opts)
+		return s.userDegreeFigure(id, MetricAvailability, opts)
 	case "fig9b":
-		return UserDegreeFigure(s.Facebook, MetricDelayHours, s.Opts)
+		return s.userDegreeFigure(id, MetricDelayHours, opts)
 	}
 	for _, p := range StandardPanels() {
-		if p.ID != id {
+		if p.ID == id {
+			return s.panel(p, opts)
+		}
+	}
+	return plot.Figure{}, errors.New("unknown figure")
+}
+
+// dataset resolves a panel's dataset name ("facebook" or "twitter").
+func (s *Suite) dataset(name string) (*trace.Dataset, error) {
+	ds := s.Facebook
+	if name == "twitter" {
+		ds = s.Twitter
+	}
+	if ds == nil {
+		return nil, fmt.Errorf("dataset %q not loaded", name)
+	}
+	return ds, nil
+}
+
+// sweep returns the suite's sweep for k at opts' repeats and seed, running
+// it on first use. Failures are not kept. Two concurrent first requests may
+// both run the sweep; their results are identical.
+func (s *Suite) sweep(k sweepKey, opts Options) (*Result, error) {
+	k.repeats, k.seed = opts.Repeats, opts.Seed
+	s.mu.Lock()
+	res, ok := s.sweeps[k]
+	s.mu.Unlock()
+	if ok {
+		return res, nil
+	}
+	res, err := Run(Config{
+		Dataset:    k.ds,
+		Model:      k.model,
+		Mode:       k.mode,
+		MaxDegree:  k.maxDegree,
+		UserDegree: k.userDegree,
+		Repeats:    k.repeats,
+		Seed:       k.seed,
+		Workers:    opts.Workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	if s.sweeps == nil {
+		s.sweeps = map[sweepKey]*Result{}
+	}
+	s.sweeps[k] = res
+	s.mu.Unlock()
+	return res, nil
+}
+
+// panel reproduces one panel of Figs. 3–7 and 10–11: its metric over the
+// replication degree.
+func (s *Suite) panel(p PanelSpec, opts Options) (plot.Figure, error) {
+	ds, err := s.dataset(p.Dataset)
+	if err != nil {
+		return plot.Figure{}, err
+	}
+	res, err := s.sweep(sweepKey{ds: ds, model: p.Model, mode: p.Mode, maxDegree: opts.MaxDegree, userDegree: opts.UserDegree}, opts)
+	if err != nil {
+		return plot.Figure{}, err
+	}
+	return plot.Figure{
+		ID:     p.ID,
+		Title:  p.Title,
+		XLabel: "replication degree",
+		YLabel: p.Metric.String(),
+		Series: res.MetricSeries(p.Metric),
+	}, nil
+}
+
+// sessionLengthFigure reproduces one panel of Fig. 8: a metric as a
+// function of the Sporadic session length at a fixed replication degree
+// of 3.
+func (s *Suite) sessionLengthFigure(id string, metric Metric, opts Options) (plot.Figure, error) {
+	ds, err := s.dataset("facebook")
+	if err != nil {
+		return plot.Figure{}, err
+	}
+	const fixedDegree = 3
+	var results []*Result
+	for _, sec := range SessionLengthSeconds {
+		model := onlinetime.Sporadic{SessionLength: time.Duration(sec) * time.Second}
+		res, err := s.sweep(sweepKey{ds: ds, model: model, mode: replica.ConRep, maxDegree: fixedDegree, userDegree: opts.UserDegree}, opts)
+		if err != nil {
+			return plot.Figure{}, fmt.Errorf("session %.0fs: %w", sec, err)
+		}
+		results = append(results, res)
+	}
+	return plot.Figure{
+		ID:     id,
+		Title:  fmt.Sprintf("Effect of session length in Sporadic (degree %d): %s", fixedDegree, metric),
+		XLabel: "session length (sec)",
+		YLabel: metric.String(),
+		LogX:   true,
+		Series: lastSeries(results, SessionLengthSeconds, metric),
+	}, nil
+}
+
+// userDegreeFigure reproduces one panel of Fig. 9: a metric as a function
+// of the user degree (1..UserDegree) with the replication degree allowed to
+// reach the user degree (all friends may host replicas). Degrees without
+// users are skipped.
+func (s *Suite) userDegreeFigure(id string, metric Metric, opts Options) (plot.Figure, error) {
+	ds, err := s.dataset("facebook")
+	if err != nil {
+		return plot.Figure{}, err
+	}
+	var (
+		results []*Result
+		degrees []float64
+	)
+	for d := 1; d <= opts.UserDegree; d++ {
+		res, err := s.sweep(sweepKey{ds: ds, model: onlinetime.Sporadic{}, mode: replica.ConRep, maxDegree: d, userDegree: d}, opts)
+		if errors.Is(err, ErrNoUsers) {
 			continue
 		}
-		ds := s.Facebook
-		if p.Dataset == "twitter" {
-			ds = s.Twitter
+		if err != nil {
+			return plot.Figure{}, fmt.Errorf("user degree %d: %w", d, err)
 		}
-		if ds == nil {
-			return plot.Figure{}, fmt.Errorf("figure %s: dataset %q not loaded", id, p.Dataset)
-		}
-		return RunPanel(ds, p, s.Opts)
+		results = append(results, res)
+		degrees = append(degrees, float64(d))
 	}
-	return plot.Figure{}, fmt.Errorf("unknown figure %q", id)
+	if len(results) == 0 {
+		return plot.Figure{}, ErrNoUsers
+	}
+	return plot.Figure{
+		ID:     id,
+		Title:  fmt.Sprintf("Effect of user degree in Sporadic: %s", metric),
+		XLabel: "user degree",
+		YLabel: metric.String(),
+		Series: lastSeries(results, degrees, metric),
+	}, nil
+}
+
+// lastSeries projects a list of sweeps onto one series per policy: point i
+// is sweep i's metric value at its largest degree, plotted at xs[i].
+func lastSeries(results []*Result, xs []float64, m Metric) []plot.Series {
+	out := make([]plot.Series, len(results[0].Policies))
+	for pi, name := range results[0].Policies {
+		ys := make([]float64, len(results))
+		for i, res := range results {
+			ys[i] = res.Last(pi, m)
+		}
+		out[pi] = plot.Series{Label: name, X: slices.Clone(xs), Y: ys}
+	}
+	return out
 }

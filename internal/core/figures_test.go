@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"dosn/internal/plot"
 	"dosn/internal/trace"
 )
 
@@ -74,11 +78,27 @@ func TestSuiteUnknownFigure(t *testing.T) {
 	}
 }
 
+// TestSuiteMissingDataset pins that every figure family reports a missing
+// dataset by name instead of dereferencing it.
 func TestSuiteMissingDataset(t *testing.T) {
-	s := testSuite(t)
-	s.Twitter = nil
-	if _, err := s.Figure("fig10a"); err == nil {
-		t.Error("missing dataset must error")
+	full := testSuite(t)
+	for _, missing := range []string{"facebook", "twitter"} {
+		s := &Suite{Facebook: full.Facebook, Twitter: full.Twitter, Opts: full.Opts}
+		ids := []string{"fig2"}
+		if missing == "facebook" {
+			s.Facebook = nil
+			ids = append(ids, "fig3a", "fig8a", "fig9a")
+		} else {
+			s.Twitter = nil
+			ids = append(ids, "fig10a")
+		}
+		for _, id := range ids {
+			_, err := s.Figure(id)
+			want := fmt.Sprintf("figure %s: dataset %q not loaded", id, missing)
+			if err == nil || err.Error() != want {
+				t.Errorf("Figure(%s) with %s missing: err = %v, want %q", id, missing, err, want)
+			}
+		}
 	}
 }
 
@@ -101,9 +121,9 @@ func TestDegreeDistributionFigure(t *testing.T) {
 
 func TestSessionLengthFigureShape(t *testing.T) {
 	s := testSuite(t)
-	fig, err := SessionLengthFigure(s.Facebook, MetricAvailability, s.Opts)
+	fig, err := s.Figure("fig8a")
 	if err != nil {
-		t.Fatalf("SessionLengthFigure: %v", err)
+		t.Fatalf("fig8a: %v", err)
 	}
 	if !fig.LogX || fig.ID != "fig8a" {
 		t.Errorf("figure meta = %+v", fig)
@@ -127,9 +147,9 @@ func TestSessionLengthFigureShape(t *testing.T) {
 
 func TestSessionLengthDelayFalls(t *testing.T) {
 	s := testSuite(t)
-	fig, err := SessionLengthFigure(s.Facebook, MetricDelayHours, s.Opts)
+	fig, err := s.Figure("fig8d")
 	if err != nil {
-		t.Fatalf("SessionLengthFigure: %v", err)
+		t.Fatalf("fig8d: %v", err)
 	}
 	for _, series := range fig.Series {
 		first, last := series.Y[0], series.Y[len(series.Y)-1]
@@ -142,9 +162,9 @@ func TestSessionLengthDelayFalls(t *testing.T) {
 
 func TestUserDegreeFigureShape(t *testing.T) {
 	s := testSuite(t)
-	fig, err := UserDegreeFigure(s.Facebook, MetricAvailability, s.Opts)
+	fig, err := s.Figure("fig9a")
 	if err != nil {
-		t.Fatalf("UserDegreeFigure: %v", err)
+		t.Fatalf("fig9a: %v", err)
 	}
 	if fig.ID != "fig9a" || len(fig.Series) != 3 {
 		t.Fatalf("figure meta: id=%s series=%d", fig.ID, len(fig.Series))
@@ -183,4 +203,114 @@ func TestRunPanelRendersAndWrites(t *testing.T) {
 	if !strings.Contains(dat.String(), "MaxAv") || !strings.Contains(txt.String(), "MaxAv") {
 		t.Error("figure output incomplete")
 	}
+}
+
+// TestSuiteSharesSweeps pins the suite's sweep memo: a figure read from a
+// suite that has already produced every other figure is exactly the figure
+// a fresh suite computes, one pass runs each distinct sweep once, changed
+// options recompute, and concurrent callers agree.
+func TestSuiteSharesSweeps(t *testing.T) {
+	base := testSuite(t)
+	fresh := func(opts Options) *Suite {
+		return &Suite{Facebook: base.Facebook, Twitter: base.Twitter, Opts: opts}
+	}
+
+	t.Run("warm equals fresh", func(t *testing.T) {
+		warm := fresh(base.Opts)
+		ids := warm.FigureIDs()
+		for _, id := range ids {
+			if _, err := warm.Figure(id); err != nil {
+				t.Fatalf("Figure(%s): %v", id, err)
+			}
+		}
+		// Figs. 3/5/6/7 share four sweeps, Fig. 10/11 four, Fig. 4 two,
+		// Fig. 8 seven, and Fig. 9 one per populated user degree.
+		want := 4 + 4 + 2 + len(SessionLengthSeconds)
+		for d := 1; d <= base.Opts.UserDegree; d++ {
+			if len(base.Facebook.Graph.UsersWithDegree(d)) > 0 {
+				want++
+			}
+		}
+		if got := len(warm.sweeps); got != want {
+			t.Errorf("one pass ran %d distinct sweeps, want %d", got, want)
+		}
+		for _, id := range ids {
+			got, err := warm.Figure(id)
+			if err != nil {
+				t.Fatalf("warm Figure(%s): %v", id, err)
+			}
+			ref, err := fresh(base.Opts).Figure(id)
+			if err != nil {
+				t.Fatalf("fresh Figure(%s): %v", id, err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("Figure(%s) from a warm suite differs from a fresh suite", id)
+			}
+		}
+	})
+
+	t.Run("options changes recompute", func(t *testing.T) {
+		s := fresh(base.Opts)
+		before, err := s.Figure("fig3a")
+		if err != nil {
+			t.Fatalf("fig3a: %v", err)
+		}
+		for _, c := range []struct {
+			name   string
+			change func(*Options)
+		}{
+			{"seed", func(o *Options) { o.Seed++ }},
+			{"repeats", func(o *Options) { o.Repeats++ }},
+		} {
+			s.Opts = base.Opts
+			c.change(&s.Opts)
+			got, err := s.Figure("fig3a")
+			if err != nil {
+				t.Fatalf("fig3a after %s change: %v", c.name, err)
+			}
+			ref, err := fresh(s.Opts).Figure("fig3a")
+			if err != nil {
+				t.Fatalf("fresh fig3a: %v", err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("after a %s change the suite returned a stale fig3a", c.name)
+			}
+			if reflect.DeepEqual(got, before) {
+				t.Errorf("a %s change left fig3a unchanged; the check is vacuous", c.name)
+			}
+		}
+	})
+
+	t.Run("concurrent callers agree", func(t *testing.T) {
+		ids := []string{"fig3a", "fig5a", "fig7a", "fig8b", "fig9a", "fig10a", "fig11a"}
+		want := make([]plot.Figure, len(ids))
+		ref := fresh(base.Opts)
+		for i, id := range ids {
+			fig, err := ref.Figure(id)
+			if err != nil {
+				t.Fatalf("Figure(%s): %v", id, err)
+			}
+			want[i] = fig
+		}
+		s := fresh(base.Opts)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := range ids {
+					i := (k + g) % len(ids)
+					fig, err := s.Figure(ids[i])
+					if err != nil {
+						t.Errorf("Figure(%s): %v", ids[i], err)
+						return
+					}
+					if !reflect.DeepEqual(fig, want[i]) {
+						t.Errorf("concurrent Figure(%s) differs from a serial one", ids[i])
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
 }

@@ -181,12 +181,11 @@ func TestRootSeedChangesResults(t *testing.T) {
 	}
 }
 
-// TestRunByteIdenticalWithPrefetch pins that the execution pipeline — the
-// background cell prefetcher plus core's repetition pipelining, both on by
-// default — is execution-only. The NoPrefetch reference runs fully serial
-// (no warm-ahead, no overlapped table builds); every pipelined variant must
-// reproduce its manifest byte for byte, including ScheduleCacheHits, which
-// counts cell-to-cell reuse and must not see prefetcher warm-ups.
+// TestRunByteIdenticalWithPrefetch pins that the background cell
+// prefetcher, on by default, is execution-only. The NoPrefetch reference
+// runs without warm-ahead; every prefetching variant must reproduce its
+// manifest byte for byte, including ScheduleCacheHits, which counts
+// cell-to-cell reuse and must not see prefetcher warm-ups.
 func TestRunByteIdenticalWithPrefetch(t *testing.T) {
 	spec := testSpec() // cells share (dataset, model) pairs → nonzero ScheduleCacheHits
 	marshal := func(opts RunOptions) []byte {
