@@ -41,7 +41,7 @@ func runMatrix(args []string) error {
 		quiet      = fs.Bool("q", false, "suppress per-cell progress on stderr")
 		telemetry  = fs.String("telemetry", "", "write the execution telemetry report (per-cell phase breakdown, counters) as JSON to this file ('-' = stdout); never part of the manifest")
 		events     = fs.String("events", "", "stream execution lifecycle events as JSONL to this file")
-		progress   = fs.Bool("progress", false, "live single-line progress on stderr (cells done, current phase, ETA, heap); replaces per-cell lines")
+		progress   = fs.Bool("progress", false, "live single-line progress on stderr (cells done, latest finished phase, ETA, heap); replaces per-cell lines")
 		debugAddr  = fs.String("debug-addr", "", "serve the debug HTTP endpoint (pprof, expvar with obs counters) on this address for the duration of the run")
 		noPrefetch = fs.Bool("no-prefetch", false, "disable cell prefetching (serial reference execution); never affects results")
 		checkpoint = fs.String("checkpoint", "", "append each completed cell to a crash-safe JSONL journal at this path (fsync per cell)")
@@ -122,7 +122,7 @@ func runMatrix(args []string) error {
 	}
 
 	// Telemetry is a side artifact: the collector observes execution (phase
-	// timings, worker utilization, heap) and never touches the manifest,
+	// timings, worker busy time, heap) and never touches the manifest,
 	// which stays byte-identical with or without it.
 	var collector *obs.Collector
 	if *telemetry != "" || *events != "" || *progress {
@@ -164,9 +164,9 @@ func runMatrix(args []string) error {
 		return err
 	}
 	if collector != nil {
-		// Resolve the effective knobs the way the harness does, so the
-		// report is self-describing even when the flags were left at 0.
-		rep := collector.Report("dosn-sim matrix -scale "+*scale, *workers, *shardSize)
+		// The header's workers/core_workers/shard_size are the knobs
+		// harness.Run resolved, not the raw flags.
+		rep := collector.Report("dosn-sim matrix -scale " + *scale)
 		if *telemetry != "" {
 			if err := writeSink(*telemetry, rep.WriteJSON); err != nil {
 				return err

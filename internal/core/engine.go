@@ -124,10 +124,11 @@ type Config struct {
 	// NoPipeline is ignored. Run builds and sweeps repetitions one after
 	// the other; the field remains only for existing callers that set it.
 	NoPipeline bool
-	// Obs, when non-nil, receives execution telemetry for this sweep:
-	// fine-grained phase accumulation (sweep-shards vs reduce), per-chunk
-	// counts and per-worker busy time. Execution-only, exactly like Workers
-	// and ShardUsers: a nil or non-nil Obs never changes the result bits.
+	// Obs, when non-nil, receives execution telemetry for this sweep: per
+	// batch a sweep/shards and a sweep/reduce phase record, and per worker
+	// goroutine per batch a sweep/worker record of its busy time.
+	// Execution-only, exactly like Workers and ShardUsers: a nil or non-nil
+	// Obs never changes the result bits.
 	Obs *obs.CellObs
 	// Schedules optionally supplies precomputed per-repetition schedule
 	// tables (Schedules[rep], user-indexed arena rows). When set for a
@@ -381,7 +382,7 @@ func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 		}
 		b.wg.Wait()
 		if cfg.Obs != nil {
-			cfg.Obs.AddPhaseNS("sweep-shards", sw.ElapsedNS())
+			cfg.Obs.Phase("sweep/shards", sw.Elapsed())
 			sw = obs.StartWatch()
 		}
 		if err := b.takeErr(); err != nil {
@@ -396,7 +397,7 @@ func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 			b.batch[i] = nil // grid is collectible as soon as it is merged
 		}
 		if cfg.Obs != nil {
-			cfg.Obs.AddPhaseNS("reduce", sw.ElapsedNS())
+			cfg.Obs.Phase("sweep/reduce", sw.Elapsed())
 		}
 	}
 	return grid, nil
@@ -443,8 +444,9 @@ func (b *sweepBatch) takeErr() error {
 }
 
 // run wraps one worker's chunk loop with busy-time accounting: when the
-// sweep carries a telemetry sink, each worker reports how long it spent in
-// its loop, which is what exposes shard imbalance (sum vs max busy time).
+// sweep carries a telemetry sink, each worker records how long it spent in
+// its loop as one sweep/worker phase call, which is what exposes shard
+// imbalance (the phase's max_ms against its mean).
 // The watch reading goes only into obs — results never see it.
 //
 // It is also the sweep's panic isolation boundary: a panic anywhere in the
@@ -468,7 +470,7 @@ func (b *sweepBatch) run() {
 		b.work()
 	}()
 	if b.cfg.Obs != nil {
-		b.cfg.Obs.WorkerBusy(busy.ElapsedNS())
+		b.cfg.Obs.Phase("sweep/worker", busy.Elapsed())
 	}
 }
 
@@ -499,7 +501,6 @@ func (b *sweepBatch) work() {
 		b.batch[ci-b.cs] = g
 		obsChunksSwept.Inc()
 		obsUsersSwept.Add(int64(hi - lo))
-		b.cfg.Obs.AddChunks(1)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dosn/internal/interval"
@@ -315,9 +316,9 @@ func TestRunRejectsMisshapenSchedules(t *testing.T) {
 
 // TestSweepWorkerPoolCappedByChunks pins the worker-spawn cap: a batch with
 // fewer chunks than workers must spawn one goroutine per chunk, not one per
-// configured worker. The pin reads the telemetry worker-span count — every
-// spawned sweep worker reports exactly one busy span — so a regression that
-// spawns idle workers shows up as extra spans.
+// configured worker. The pin reads the telemetry sweep/worker call count —
+// every spawned sweep worker records exactly one call per batch — so a
+// regression that spawns idle workers shows up as extra calls.
 func TestSweepWorkerPoolCappedByChunks(t *testing.T) {
 	ds := testDataset(t)
 	users := ds.Graph.UsersWithDegree(10)[:3] // 3 users → a single 16-user chunk
@@ -331,12 +332,16 @@ func TestSweepWorkerPoolCappedByChunks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rep := collector.Report("test", 8, 0)
-	if len(rep.Cells) != 1 || rep.Cells[0].Sweep == nil {
-		t.Fatalf("telemetry report missing sweep stats: %+v", rep.Cells)
+	rep := collector.Report("test")
+	if len(rep.Cells) != 1 {
+		t.Fatalf("telemetry report has %d cells, want 1", len(rep.Cells))
 	}
-	// One chunk per repetition → one worker span per repetition.
-	if got := rep.Cells[0].Sweep.WorkerSpans; got != 2 {
-		t.Errorf("WorkerSpans = %d, want 2 (one per single-chunk batch)", got)
+	i := slices.IndexFunc(rep.Cells[0].Phases, func(p obs.PhaseStat) bool { return p.Name == "sweep/worker" })
+	if i < 0 {
+		t.Fatalf("telemetry report missing sweep/worker phase: %+v", rep.Cells[0].Phases)
+	}
+	// One chunk per repetition → one worker call per repetition.
+	if got := rep.Cells[0].Phases[i].Calls; got != 2 {
+		t.Errorf("sweep/worker calls = %d, want 2 (one per single-chunk batch)", got)
 	}
 }

@@ -64,10 +64,10 @@ type RunOptions struct {
 	NoPrefetch bool
 	// Progress, when set, is called after each finished cell.
 	Progress func(done, total int, cell CellSpec, elapsed time.Duration)
-	// Telemetry, when set, collects per-cell phase breakdowns, worker
-	// utilization, and lifecycle events (see internal/obs). Execution-only,
-	// like Workers: manifests are byte-identical with or without it
-	// (pinned by TestTelemetryDoesNotPerturbManifest).
+	// Telemetry, when set, collects per-cell phase breakdowns (sweep
+	// worker busy time included) and lifecycle events (see internal/obs).
+	// Execution-only, like Workers: manifests are byte-identical with or
+	// without it (pinned by TestTelemetryDoesNotPerturbManifest).
 	Telemetry *obs.Collector
 	// MaxRetries is how many times a failed cell attempt (error, panic, or
 	// timeout) is rerun before the failure is reported. Cell results are pure
@@ -120,6 +120,8 @@ func (o RunOptions) fill(cells int) RunOptions {
 }
 
 // lazy computes a value at most once; concurrent callers share the result.
+// get reports whether its caller ran the compute, so telemetry can tell the
+// cell that paid for a shared value from the cells that waited on it.
 // Failures are NOT memoized: a compute that errors (an injected fault, say)
 // leaves the slot empty, so a retried cell reruns the pure computation
 // instead of replaying a stale error. The deferred unlock keeps the slot
@@ -131,19 +133,18 @@ type lazy[T any] struct {
 	val  T
 }
 
-func (l *lazy[T]) get(compute func() (T, error)) (T, error) {
+func (l *lazy[T]) get(compute func() (T, error)) (v T, computed bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.done {
-		return l.val, nil
+		return l.val, false, nil
 	}
-	v, err := compute()
-	if err != nil {
+	if v, err = compute(); err != nil {
 		var zero T
-		return zero, err
+		return zero, true, err
 	}
 	l.val, l.done = v, true
-	return v, nil
+	return v, true, nil
 }
 
 // schedEntry is one (dataset, model) schedule-cache slot. Beyond the lazy
@@ -190,8 +191,9 @@ func (c *caches) datasetEntry(key string) *lazy[*trace.Dataset] {
 // ringFor computes (or fetches) the ring shared by every DHT cell over the
 // given dataset. The ring is a pure function of (user count, ring bits) —
 // like the dataset, it is infrastructure, independent of the root seed — so
-// two cells over the same dataset always route on the same ring.
-func (c *caches) ringFor(d DatasetSpec, bits int, ds *trace.Dataset) (*dht.Ring, error) {
+// two cells over the same dataset always route on the same ring. computed
+// reports whether this call built the ring (see lazy.get).
+func (c *caches) ringFor(d DatasetSpec, bits int, ds *trace.Dataset) (ring *dht.Ring, computed bool, err error) {
 	key := fmt.Sprintf("%s|%d", d.key(), bits)
 	c.mu.Lock()
 	e, ok := c.rings[key]
@@ -233,12 +235,13 @@ func buildDataset(d DatasetSpec) (*trace.Dataset, error) {
 // parallel phase-2 row construction may use it freely because worker counts
 // never reach the table bytes. hit reports whether another *cell* already
 // requested the entry — cell-to-cell reuse, feeding execution-only telemetry
-// (an entry the prefetcher warmed first is not a hit). The manifest's
+// (an entry the prefetcher warmed first is not a hit); computed reports
+// whether this call built the tables (see lazy.get). The manifest's
 // ScheduleCacheHits is NOT this measured count but the spec-derived
 // expectedScheduleHits: under resume or retry the measured count shifts
 // (restored cells never request; retried cells request twice) while the
 // manifest bytes must not.
-func (c *caches) schedulesFor(spec MatrixSpec, d DatasetSpec, m ModelSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int) (tables []*onlinetime.Table, hit bool, err error) {
+func (c *caches) schedulesFor(spec MatrixSpec, d DatasetSpec, m ModelSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int) (tables []*onlinetime.Table, hit, computed bool, err error) {
 	entry := c.scheduleEntry(d.key() + "|" + m.key())
 	if hit = entry.requested.Swap(true); hit {
 		obsSchedHits.Inc()
@@ -247,8 +250,8 @@ func (c *caches) schedulesFor(spec MatrixSpec, d DatasetSpec, m ModelSpec, ds *t
 		// already warmed by the prefetcher.
 		obsPrefetchHits.Inc()
 	}
-	tables, err = entry.get(c.buildSchedules(spec, d, m, ds, model, buildWorkers))
-	return tables, hit, err
+	tables, computed, err = entry.get(c.buildSchedules(spec, d, m, ds, model, buildWorkers))
+	return tables, hit, computed, err
 }
 
 // buildSchedules returns the compute closure of one schedule-cache entry:
@@ -284,14 +287,14 @@ func (c *caches) warmCell(spec MatrixSpec, cell CellSpec, buildWorkers int) {
 			_ = r
 		}
 	}()
-	ds, err := c.datasetEntry(cell.Dataset.key()).get(func() (*trace.Dataset, error) {
+	ds, _, err := c.datasetEntry(cell.Dataset.key()).get(func() (*trace.Dataset, error) {
 		return buildDataset(cell.Dataset)
 	})
 	if err != nil {
 		return
 	}
 	if !cell.isFriend() {
-		_, _ = c.ringFor(cell.Dataset, cell.RingBits, ds)
+		_, _, _ = c.ringFor(cell.Dataset, cell.RingBits, ds)
 	}
 	model, err := cell.Model.Model()
 	if err != nil {
@@ -299,7 +302,7 @@ func (c *caches) warmCell(spec MatrixSpec, cell CellSpec, buildWorkers int) {
 	}
 	entry := c.scheduleEntry(cell.Dataset.key() + "|" + cell.Model.key())
 	entry.prefetched.Store(true)
-	_, _ = entry.get(c.buildSchedules(spec, cell.Dataset, cell.Model, ds, model, buildWorkers))
+	_, _, _ = entry.get(c.buildSchedules(spec, cell.Dataset, cell.Model, ds, model, buildWorkers))
 	obsCellsPrefetched.Inc()
 }
 
@@ -354,7 +357,7 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 		policies[i] = p
 	}
 
-	opts.Telemetry.SetTotalCells(len(cells))
+	opts.Telemetry.SetRun(len(cells), opts.Workers, opts.CoreWorkers, opts.ShardSize)
 	shared := newCaches()
 	results := make([]CellResult, len(cells))
 	errs := make([]error, len(cells))
@@ -391,8 +394,7 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 				if claims != nil {
 					claims <- i
 				}
-				//dosn:wallclock elapsed feeds only the Progress callback; results never read it
-				start := time.Now()
+				start := obs.StartWatch()
 				if res, ok := restored[i]; ok {
 					// Checkpoint restore: the journaled result is the same
 					// pure function of (spec, seed) a recompute would
@@ -411,7 +413,7 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 				}
 				if opts.Progress != nil {
 					mu.Lock()
-					opts.Progress(int(done.Add(1)), len(cells), cells[i], time.Since(start))
+					opts.Progress(int(done.Add(1)), len(cells), cells[i], start.Elapsed())
 					mu.Unlock()
 				} else {
 					done.Add(1)
@@ -541,27 +543,28 @@ func runCellRecovered(spec MatrixSpec, cell CellSpec, policies []replica.Policy,
 // sweep the spec's policy list; DHT cells sweep their architecture's
 // placement over the dataset's shared ring. Only execution knobs are read
 // from opts (CoreWorkers, ShardSize); the cell result depends on (spec,
-// cell) alone. co (nil when telemetry is off) receives the per-phase
-// breakdown: synthesize → ring-build → schedule-build → sweep, with core
-// filling the finer sweep-shards/reduce split inside the sweep phase.
+// cell) alone. co (nil when telemetry is off) receives the phase table:
+// synthesize → ring-build → schedule-build → sweep, with core recording the
+// sweep/shards, sweep/reduce and sweep/worker records inside the sweep. The
+// three shared-cache phases take their plain name only in the cell that
+// ran the computation; see cachePhase.
 func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
-	phaseDone := co.Phase("synthesize")
-	ds, err := shared.datasetEntry(cell.Dataset.key()).get(func() (*trace.Dataset, error) {
+	w := obs.StartWatch()
+	ds, computed, err := shared.datasetEntry(cell.Dataset.key()).get(func() (*trace.Dataset, error) {
 		return buildDataset(cell.Dataset)
 	})
-	phaseDone()
+	co.Phase(cachePhase("synthesize", computed), w.Elapsed())
 	if err != nil {
 		return CellResult{}, err
 	}
 	if !cell.isFriend() {
-		phaseDone = co.Phase("ring-build")
-		ring, err := shared.ringFor(cell.Dataset, cell.RingBits, ds)
+		w = obs.StartWatch()
+		ring, computed, err := shared.ringFor(cell.Dataset, cell.RingBits, ds)
+		co.Phase(cachePhase("ring-build", computed), w.Elapsed())
 		if err != nil {
-			phaseDone()
 			return CellResult{}, err
 		}
 		arch, err := dht.NewArchitecture(cell.Arch, ring, ds.Graph, nil)
-		phaseDone()
 		if err != nil {
 			return CellResult{}, err
 		}
@@ -571,9 +574,9 @@ func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts Run
 	if err != nil {
 		return CellResult{}, err
 	}
-	phaseDone = co.Phase("schedule-build")
-	schedules, hit, err := shared.schedulesFor(spec, cell.Dataset, cell.Model, ds, model, opts.CoreWorkers)
-	phaseDone()
+	w = obs.StartWatch()
+	schedules, hit, computed, err := shared.schedulesFor(spec, cell.Dataset, cell.Model, ds, model, opts.CoreWorkers)
+	co.Phase(cachePhase("schedule-build", computed), w.Elapsed())
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -581,8 +584,7 @@ func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts Run
 		co.MarkScheduleCacheHit()
 	}
 	seed := spec.CellSeed(cell)
-	co.SetSweepWorkers(opts.CoreWorkers)
-	phaseDone = co.Phase("sweep")
+	w = obs.StartWatch()
 	res, err := core.Run(core.Config{
 		Dataset:    ds,
 		Model:      model,
@@ -597,9 +599,20 @@ func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts Run
 		Schedules:  schedules,
 		Obs:        co,
 	})
-	phaseDone()
+	co.Phase("sweep", w.Elapsed())
 	if err != nil {
 		return CellResult{}, err
 	}
 	return newCellResult(cell, seed, res), nil
+}
+
+// cachePhase names a shared-cache phase record: name in the cell whose call
+// ran the computation, name+"/wait" in a cell that blocked on — or simply
+// reused — an entry another cell or the prefetcher computed, so waiting is
+// never charged as compute.
+func cachePhase(name string, computed bool) string {
+	if computed {
+		return name
+	}
+	return name + "/wait"
 }

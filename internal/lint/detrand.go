@@ -25,10 +25,10 @@ socialgraph — flags:
   - rand.NewSource(x) where x does not visibly derive from a seed: some
     identifier in the argument must contain "seed" (case-insensitive), the
     repository's convention for plumbed Config/seed parameters.
-  - reads of internal/obs telemetry state (Value, Counters, Timers, Report,
+  - reads of internal/obs telemetry state (Value, Counters, Report,
     ReadMem, ...): obs is execution-only, and its readings are wall-clock
-    derived — deterministic code may write into it (Inc, Add, AddPhaseNS)
-    but must never branch on what it measured.
+    derived — deterministic code may write into it (Inc, Add, Phase) but
+    must never branch on what it measured.
 
 Methods on an explicit *rand.Rand are always fine.`,
 	Run: runDetRand,
@@ -46,7 +46,7 @@ var deterministicPkgs = map[string]bool{
 // execution-only: internal/obs and internal/obs/prof observe how a run
 // executes (wall clock, heap, profiles) and never feed results. They are
 // exempt from the deterministic contract by construction — and, dually,
-// deterministic packages may write into them (counter increments, span
+// deterministic packages may write into them (counter increments, phase
 // durations) but must never read telemetry back, which is what the
 // obsReadbackFuncs check below enforces.
 var executionOnlyPkgs = map[string]bool{
@@ -56,10 +56,10 @@ var executionOnlyPkgs = map[string]bool{
 // obsReadbackFuncs are the internal/obs calls that read telemetry state
 // back out. Elapsed/ElapsedNS/Started are deliberately absent: a stopwatch
 // reading is how deterministic code *feeds* a duration into an obs sink
-// (core.Run → AddPhaseNS), and the value never influences results.
+// (core.Run → CellObs.Phase), and the value never influences results.
 var obsReadbackFuncs = map[string]bool{
-	"Value": true, "Counters": true, "Timers": true,
-	"CounterNames": true, "Stat": true, "Report": true, "ReadMem": true,
+	"Value": true, "Counters": true, "CounterNames": true,
+	"Report": true, "ReadMem": true,
 }
 
 // globalRandFuncs are the math/rand package-level functions backed by the

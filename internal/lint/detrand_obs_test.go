@@ -14,10 +14,12 @@ import (
 // importer resolves from GOROOT), so the obs-readback rule is exercised here
 // against an in-memory stand-in for dosn/internal/obs, resolved through a
 // map-backed importer. The stand-in mirrors the real API surface the rule
-// cares about: write methods (Inc, Add, AddPhaseNS), read methods (Value),
+// cares about: write methods (Inc, Add, Phase), read methods (Value),
 // package-level readers (ReadMem), and the stopwatch reads that are
-// deliberately allowed (ElapsedNS).
+// deliberately allowed (Elapsed).
 const fakeObsSrc = `package obs
+
+import "time"
 
 type Counter struct{ v int64 }
 
@@ -26,14 +28,14 @@ func (c *Counter) Add(n int64)      {}
 func (c *Counter) Value() int64     { return c.v }
 func C(name string) *Counter        { return &Counter{} }
 
-type Watch struct{ ns int64 }
+type Watch struct{ d time.Duration }
 
-func StartWatch() Watch            { return Watch{} }
-func (w Watch) ElapsedNS() int64   { return w.ns }
+func StartWatch() Watch                 { return Watch{} }
+func (w Watch) Elapsed() time.Duration  { return w.d }
 
 type CellObs struct{}
 
-func (o *CellObs) AddPhaseNS(name string, ns int64) {}
+func (o *CellObs) Phase(name string, d time.Duration) {}
 
 type MemSnapshot struct{ HeapAllocMB float64 }
 
@@ -114,7 +116,7 @@ func Instrument(o *obs.CellObs) {
 	counter.Inc()
 	counter.Add(2)
 	w := obs.StartWatch()
-	o.AddPhaseNS("sweep", w.ElapsedNS())
+	o.Phase("sweep", w.Elapsed())
 }
 
 // Reading telemetry back is a determinism leak.

@@ -3,8 +3,9 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sync"
-	"sync/atomic"
+	"time"
 )
 
 // Event is one line of the JSONL event stream (-events out.jsonl). The
@@ -12,14 +13,17 @@ import (
 // back into results. Schema:
 //
 //	{"t_ms":12.3,"ev":"run_start"}
-//	{"t_ms":14.0,"ev":"cell_start","cell":"facebook|Sporadic|conrep","worker":2}
+//	{"t_ms":14.0,"ev":"cell_start","cell":"facebook/Sporadic/ConRep","worker":2}
+//	{"t_ms":60.2,"ev":"phase","cell":"...","phase":"synthesize/wait","worker":2,"ms":46.1,"heap_mb":410.5}
+//	{"t_ms":190.7,"ev":"phase","cell":"...","phase":"sweep/worker","worker":2,"ms":120.4,"heap_mb":511.9}
 //	{"t_ms":201.5,"ev":"phase","cell":"...","phase":"sweep","worker":2,"ms":142.1,"heap_mb":512.0}
 //	{"t_ms":203.0,"ev":"cell_done","cell":"...","worker":2,"ms":189.0,"heap_mb":513.2}
 //	{"t_ms":950.8,"ev":"run_done","ms":950.8,"heap_mb":301.7}
 //
 // t_ms is milliseconds since the collector was created; ms is the duration
 // of the thing that just finished. worker identifies the harness worker
-// goroutine that ran the cell.
+// goroutine that ran the cell. Every CellObs.Phase record is one phase
+// event, so the stream and the report's phase table always agree.
 type Event struct {
 	TMS    float64 `json:"t_ms"`
 	Ev     string  `json:"ev"`
@@ -40,11 +44,10 @@ type Collector struct {
 	reg   *Registry
 
 	mu       sync.Mutex
+	header   Report // Workers, CoreWorkers, ShardSize; see SetRun
 	cells    []*CellObs
 	events   *json.Encoder
 	progress *Progress
-	total    int
-	done     int
 }
 
 // NewCollector starts a collector reading metrics from the Default
@@ -77,17 +80,19 @@ func (c *Collector) AttachProgress(p *Progress) {
 	c.mu.Unlock()
 }
 
-// SetTotalCells tells the collector (and its progress line) how many cells
-// the run will execute. The harness calls this once the spec is expanded.
-func (c *Collector) SetTotalCells(n int) {
+// SetRun tells the collector the run's shape once the harness has resolved
+// it: the cell count (for the progress line) and the effective execution
+// knobs, which the report header echoes so it is self-describing even when
+// the caller left them at their zero defaults.
+func (c *Collector) SetRun(cells, workers, coreWorkers, shardSize int) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.total = n
+	c.header = Report{Workers: workers, CoreWorkers: coreWorkers, ShardSize: shardSize}
 	p := c.progress
 	c.mu.Unlock()
-	p.SetTotal(n)
+	p.SetTotal(cells)
 }
 
 // StartCell begins telemetry for one cell, identified by its manifest key,
@@ -128,14 +133,13 @@ func (c *Collector) emit(e Event) {
 // cellDone records a finished cell: progress, event stream.
 func (c *Collector) cellDone(o *CellObs, wallMS float64) {
 	c.mu.Lock()
-	c.done++
 	p := c.progress
 	c.mu.Unlock()
 	p.CellDone()
 	c.emit(Event{Ev: "cell_done", Cell: o.key, Worker: o.worker, MS: roundMS(wallMS), HeapMB: heapMB()})
 }
 
-// setPhase updates the live progress line's current-phase label.
+// setPhase updates the live progress line's phase label.
 func (c *Collector) setPhase(label string) {
 	c.mu.Lock()
 	p := c.progress
@@ -143,10 +147,10 @@ func (c *Collector) setPhase(label string) {
 	p.SetPhase(label)
 }
 
-// CellObs collects one cell's telemetry: a per-phase wall-time breakdown
-// and sweep worker-utilization stats. Methods are safe from concurrent
-// sweep workers, and a nil *CellObs is valid everywhere and does nothing —
-// core.Config carries one only when the caller asked for telemetry.
+// CellObs collects one cell's telemetry: its phase table. Methods are safe
+// from concurrent sweep workers, and a nil *CellObs is valid everywhere and
+// does nothing — core.Config carries one only when the caller asked for
+// telemetry.
 type CellObs struct {
 	col     *Collector
 	key     string
@@ -154,87 +158,50 @@ type CellObs struct {
 	startMS float64
 	watch   Watch
 
-	mu     sync.Mutex
-	phases []PhaseStat
-	wallMS float64
-
-	sweepWorkers int
-	cacheHit     bool
-
-	chunks      atomic.Int64
-	busyNS      atomic.Int64
-	maxBusyNS   atomic.Int64
-	workerSpans atomic.Int64
+	mu       sync.Mutex
+	phases   []PhaseStat
+	wallMS   float64
+	cacheHit bool
 }
 
-// PhaseStat is one named phase of a cell's execution. Repeated phases (one
-// schedule build per repetition, one sweep batch per shard) accumulate into
-// a single entry.
+// PhaseStat is one named phase of a cell's execution. Repeated records (one
+// sweep/worker per worker goroutine per batch, one sweep/shards per batch)
+// accumulate into a single entry: calls, total and longest duration, and
+// the heap after the latest call.
 type PhaseStat struct {
 	Name   string  `json:"name"`
 	MS     float64 `json:"ms"`
+	MaxMS  float64 `json:"max_ms"`
 	Calls  int64   `json:"calls"`
 	HeapMB float64 `json:"heap_mb,omitempty"`
 }
 
-// Phase starts a named phase and returns the function that ends it. The
-// end function records the accumulated duration, snapshots the heap, and
-// emits a phase event. Typical use: done := co.Phase("sweep"); ...; done().
-func (o *CellObs) Phase(name string) func() {
-	if o == nil {
-		return func() {}
-	}
-	o.col.setPhase(o.key + " · " + name)
-	w := StartWatch()
-	return func() {
-		ns := w.ElapsedNS()
-		heap := heapMB()
-		ms := float64(ns) / 1e6
-		o.mu.Lock()
-		st := o.phaseLocked(name)
-		st.MS += ms
-		st.Calls++
-		st.HeapMB = heap
-		o.mu.Unlock()
-		o.col.emit(Event{Ev: "phase", Cell: o.key, Phase: name, Worker: o.worker, MS: roundMS(ms), HeapMB: heap})
-	}
-}
-
-// AddPhaseNS accumulates ns nanoseconds into a named phase without heap
-// snapshots or events — the fine-grained form core.sweepOnce uses per shard
-// batch, where a ReadMemStats per batch would be noise.
-func (o *CellObs) AddPhaseNS(name string, ns int64) {
+// Phase records one call of the named phase lasting d: it folds d into the
+// phase's entry, emits a phase event, and shows the phase on the progress
+// line. Nesting is spelled in the name ("sweep/worker" ran inside "sweep"),
+// and a cell that blocked on a shared computation it did not run records
+// "<name>/wait" rather than name. Typical use: w := obs.StartWatch(); ...;
+// co.Phase("sweep", w.Elapsed()).
+func (o *CellObs) Phase(name string, d time.Duration) {
 	if o == nil {
 		return
 	}
+	ms := float64(d) / 1e6
+	heap := heapMB()
 	o.mu.Lock()
-	st := o.phaseLocked(name)
-	st.MS += float64(ns) / 1e6
+	i := slices.IndexFunc(o.phases, func(p PhaseStat) bool { return p.Name == name })
+	if i < 0 {
+		i = len(o.phases)
+		o.phases = append(o.phases, PhaseStat{Name: name})
+	}
+	st := &o.phases[i]
+	st.MS += ms
+	st.MaxMS = max(st.MaxMS, ms)
 	st.Calls++
+	st.HeapMB = heap
 	o.mu.Unlock()
-}
-
-// phaseLocked returns the named phase entry, appending one if new. Caller
-// holds o.mu.
-func (o *CellObs) phaseLocked(name string) *PhaseStat {
-	for i := range o.phases {
-		if o.phases[i].Name == name {
-			return &o.phases[i]
-		}
-	}
-	o.phases = append(o.phases, PhaseStat{Name: name})
-	return &o.phases[len(o.phases)-1]
-}
-
-// SetSweepWorkers records the core worker budget, the denominator of the
-// sweep utilization ratio.
-func (o *CellObs) SetSweepWorkers(n int) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.sweepWorkers = n
-	o.mu.Unlock()
+	o.col.setPhase(o.key + " · " + name + " done")
+	o.col.emit(Event{Ev: "phase", Cell: o.key, Phase: name, Worker: o.worker, MS: roundMS(ms), HeapMB: heap})
 }
 
 // MarkScheduleCacheHit notes that this cell reused a schedule set another
@@ -246,31 +213,6 @@ func (o *CellObs) MarkScheduleCacheHit() {
 	o.mu.Lock()
 	o.cacheHit = true
 	o.mu.Unlock()
-}
-
-// AddChunks counts swept user chunks attributed to this cell. Called from
-// the sweep hot path: a nil check plus an atomic add.
-func (o *CellObs) AddChunks(n int64) {
-	if o == nil {
-		return
-	}
-	o.chunks.Add(n)
-}
-
-// WorkerBusy records one sweep worker goroutine's busy time. The max across
-// workers exposes imbalance (a straggler shard) that the sum alone hides.
-func (o *CellObs) WorkerBusy(ns int64) {
-	if o == nil {
-		return
-	}
-	o.workerSpans.Add(1)
-	o.busyNS.Add(ns)
-	for {
-		cur := o.maxBusyNS.Load()
-		if ns <= cur || o.maxBusyNS.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
 }
 
 // Done finalizes the cell: records its wall time and notifies the

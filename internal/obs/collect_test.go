@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestNilSafety pins the zero-cost-when-off contract: every Collector,
@@ -16,20 +17,16 @@ func TestNilSafety(t *testing.T) {
 	var c *Collector
 	c.AttachEvents(io.Discard)
 	c.AttachProgress(nil)
-	c.SetTotalCells(5)
-	if rep := c.Report("x", 1, 0); rep != nil {
+	c.SetRun(5, 1, 1, 0)
+	if rep := c.Report("x"); rep != nil {
 		t.Fatal("nil collector must produce a nil report")
 	}
 	o := c.StartCell("k", 0)
 	if o != nil {
 		t.Fatal("nil collector must hand out nil cell obs")
 	}
-	o.Phase("p")()
-	o.AddPhaseNS("p", 100)
-	o.SetSweepWorkers(4)
+	o.Phase("p", time.Millisecond)
 	o.MarkScheduleCacheHit()
-	o.AddChunks(3)
-	o.WorkerBusy(42)
 	o.Done()
 
 	var p *Progress
@@ -45,27 +42,23 @@ func TestCollectorReportAndEvents(t *testing.T) {
 	var events bytes.Buffer
 	c := NewCollector()
 	c.AttachEvents(&events)
-	c.SetTotalCells(2)
+	c.SetRun(2, 2, 2, 64)
 
 	a := c.StartCell("cell-a", 0)
-	done := a.Phase("synthesize")
-	done()
-	done = a.Phase("sweep")
-	a.SetSweepWorkers(2)
-	a.WorkerBusy(2e6)
-	a.WorkerBusy(3e6)
-	a.AddChunks(7)
-	done()
-	a.AddPhaseNS("reduce", 1e6)
+	a.Phase("synthesize", 4*time.Millisecond)
+	a.Phase("sweep/worker", 2*time.Millisecond)
+	a.Phase("sweep/worker", 3*time.Millisecond)
+	a.Phase("sweep/reduce", time.Millisecond)
+	a.Phase("sweep", 5*time.Millisecond)
 	a.Done()
 
 	b := c.StartCell("cell-b", 1)
 	b.MarkScheduleCacheHit()
-	b.Phase("sweep")()
+	b.Phase("synthesize/wait", time.Millisecond)
 	b.Done()
 
-	rep := c.Report("test-run", 2, 64)
-	if rep.Schema != ReportSchema || rep.Command != "test-run" || rep.Workers != 2 || rep.ShardSize != 64 {
+	rep := c.Report("test-run")
+	if rep.Schema != 2 || rep.Command != "test-run" || rep.Workers != 2 || rep.CoreWorkers != 2 || rep.ShardSize != 64 {
 		t.Fatalf("report header wrong: %+v", rep)
 	}
 	if len(rep.Cells) != 2 {
@@ -79,14 +72,15 @@ func TestCollectorReportAndEvents(t *testing.T) {
 	for _, p := range ca.Phases {
 		phases = append(phases, p.Name)
 	}
-	if strings.Join(phases, ",") != "synthesize,sweep,reduce" {
+	if strings.Join(phases, ",") != "synthesize,sweep/worker,sweep/reduce,sweep" {
 		t.Fatalf("phase order wrong: %v", phases)
 	}
-	if ca.Sweep == nil || ca.Sweep.WorkerSpans != 2 || ca.Sweep.Chunks != 7 || ca.Sweep.Workers != 2 {
-		t.Fatalf("sweep util wrong: %+v", ca.Sweep)
+	if w := ca.Phases[1]; w.Calls != 2 || w.MS != 5 || w.MaxMS != 3 {
+		t.Fatalf("worker busy accounting wrong: %+v", w)
 	}
-	if ca.Sweep.BusyMS != 5 || ca.Sweep.MaxBusyMS != 3 {
-		t.Fatalf("busy accounting wrong: %+v", ca.Sweep)
+	// 5 ms busy over 2 core workers × 5 ms sweep.
+	if ca.SweepUtilization != 0.5 {
+		t.Fatalf("sweep utilization = %v, want 0.5", ca.SweepUtilization)
 	}
 	if !rep.Cells[1].ScheduleCacheHit {
 		t.Fatal("cache hit lost")
@@ -102,7 +96,7 @@ func TestCollectorReportAndEvents(t *testing.T) {
 		}
 		kinds = append(kinds, e.Ev)
 	}
-	want := "run_start,cell_start,phase,phase,cell_done,cell_start,phase,cell_done,run_done"
+	want := "run_start,cell_start,phase,phase,phase,phase,phase,cell_done,cell_start,phase,cell_done,run_done"
 	if got := strings.Join(kinds, ","); got != want {
 		t.Fatalf("event stream = %s, want %s", got, want)
 	}
@@ -117,20 +111,22 @@ func TestCollectorReportAndEvents(t *testing.T) {
 	}
 }
 
-// TestPhaseAccumulates pins that repeated phases (per-rep schedule builds,
-// per-shard sweep batches) fold into one entry with a call count.
+// TestPhaseAccumulates pins that repeated phases (per-shard sweep batches,
+// per-worker busy spans) fold into one entry with a call count and the
+// longest single call.
 func TestPhaseAccumulates(t *testing.T) {
 	c := NewCollector()
 	o := c.StartCell("k", 0)
-	o.AddPhaseNS("sweep-shards", 2e6)
-	o.AddPhaseNS("sweep-shards", 3e6)
+	o.Phase("sweep/shards", 2*time.Millisecond)
+	o.Phase("sweep/shards", 3*time.Millisecond)
+	o.Phase("sweep/shards", time.Millisecond)
 	o.Done()
-	rep := c.Report("", 1, 0)
+	rep := c.Report("")
 	if len(rep.Cells[0].Phases) != 1 {
 		t.Fatalf("phases did not accumulate: %+v", rep.Cells[0].Phases)
 	}
 	p := rep.Cells[0].Phases[0]
-	if p.Calls != 2 || p.MS != 5 {
+	if p.Calls != 3 || p.MS != 6 || p.MaxMS != 3 {
 		t.Fatalf("accumulation wrong: %+v", p)
 	}
 }

@@ -1,12 +1,19 @@
 // Package obs is the execution-only observability layer: named atomic
-// counters, monotonic phase timers, per-run telemetry collection
-// (reports, JSONL event streams, a live progress line), and an opt-in debug
-// HTTP endpoint serving pprof and expvar.
+// counters, a monotonic stopwatch, per-run telemetry collection (reports,
+// JSONL event streams, a live progress line), and an opt-in debug HTTP
+// endpoint serving pprof and expvar.
+//
+// There is one duration primitive per scope. Process-wide, a duration is a
+// counter of nanoseconds next to the counter of how many things were timed
+// (trace.synthesize_ns beside trace.datasets_synthesized). Per cell, it is
+// a named phase (CellObs.Phase) whose nesting is spelled in the name:
+// "sweep/worker" is inside "sweep", and "synthesize/wait" is time a cell
+// spent blocked on a shared computation another cell or the prefetcher ran.
 //
 // Everything in this package is measurement, never physics. Obs values must
 // not flow back into simulation results: the detrand analyzer registers the
 // package as execution-only — deterministic packages may write to counters
-// and spans, but reading a value back (Counter.Value, Registry snapshots,
+// and phases, but reading a value back (Counter.Value, Registry snapshots,
 // ReadMem) from deterministic code is a lint finding. That contract is what
 // lets the instrumented pipeline keep its byte-identical-manifest guarantee
 // (see harness.TestTelemetryDoesNotPerturbManifest).
@@ -52,16 +59,12 @@ func (c *Counter) Name() string { return c.name }
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	timers   map[string]*Timer
 }
 
 // NewRegistry returns an empty registry. Most code uses the package-level
 // Default registry; tests use fresh registries for isolation.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		timers:   make(map[string]*Timer),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Default is the process-wide registry. Instrumented packages register
@@ -86,23 +89,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Timer returns the named timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
-	r.mu.RLock()
-	t := r.timers[name]
-	r.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t = r.timers[name]; t == nil {
-		t = &Timer{name: name}
-		r.timers[name] = t
-	}
-	return t
-}
-
 // Counters snapshots every registered counter (zeros included — the debug
 // endpoint wants the full namespace). Execution-only; see Counter.Value.
 func (r *Registry) Counters() map[string]int64 {
@@ -111,20 +97,6 @@ func (r *Registry) Counters() map[string]int64 {
 	out := make(map[string]int64, len(r.counters))
 	for name, c := range r.counters {
 		out[name] = c.Value()
-	}
-	return out
-}
-
-// Timers snapshots every timer that has recorded at least one span.
-// Execution-only.
-func (r *Registry) Timers() map[string]TimerStat {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]TimerStat, len(r.timers))
-	for name, t := range r.timers {
-		if s := t.Stat(); s.Count > 0 {
-			out[name] = s
-		}
 	}
 	return out
 }
@@ -143,6 +115,3 @@ func (r *Registry) CounterNames() []string {
 
 // C returns the named counter from the Default registry.
 func C(name string) *Counter { return Default.Counter(name) }
-
-// T returns the named timer from the Default registry.
-func T(name string) *Timer { return Default.Timer(name) }

@@ -9,9 +9,9 @@ import (
 
 // Progress renders a single self-overwriting status line for long runs:
 //
-//	7/24 cells · facebook|Sporadic|conrep · sweep · 41s elapsed · ETA 1m37s · heap 1.2 GB
+//	7/24 cells · facebook/Sporadic/ConRep · schedule-build done · 41s elapsed · ETA 1m37s · heap 1.2 GB
 //
-// It redraws on every phase change and cell completion, plus a once-a-second
+// It redraws on every phase record and cell completion, plus a once-a-second
 // ticker so the elapsed/heap readings stay live during a 100-second cell.
 // All methods are safe for concurrent use and safe on a nil receiver.
 type Progress struct {
@@ -63,7 +63,7 @@ func (p *Progress) SetTotal(n int) {
 	p.draw()
 }
 
-// SetPhase updates the current-activity label.
+// SetPhase updates the activity label.
 func (p *Progress) SetPhase(label string) {
 	if p == nil {
 		return

@@ -4,28 +4,33 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 )
 
 // ReportSchema versions the telemetry report layout for downstream tooling.
-const ReportSchema = 1
+const ReportSchema = 2
 
 // Report is the telemetry side artifact (-telemetry out.json). It is never
 // part of the canonical manifest: manifests are pure functions of
 // (spec, seed), reports are wall-clock truth about one execution.
 type Report struct {
-	Schema    int                  `json:"schema"`
-	Command   string               `json:"command,omitempty"`
-	WallMS    float64              `json:"wall_ms"`
-	Workers   int                  `json:"workers,omitempty"`
-	ShardSize int                  `json:"shard_size,omitempty"`
-	Cells     []CellReport         `json:"cells,omitempty"`
-	Counters  map[string]int64     `json:"counters,omitempty"`
-	Timers    map[string]TimerStat `json:"timers,omitempty"`
-	Mem       MemSnapshot          `json:"mem"`
+	Schema      int              `json:"schema"`
+	Command     string           `json:"command,omitempty"`
+	WallMS      float64          `json:"wall_ms"`
+	Workers     int              `json:"workers,omitempty"`
+	CoreWorkers int              `json:"core_workers,omitempty"`
+	ShardSize   int              `json:"shard_size,omitempty"`
+	Cells       []CellReport     `json:"cells,omitempty"`
+	Counters    map[string]int64 `json:"counters,omitempty"`
+	Mem         MemSnapshot      `json:"mem"`
 }
 
-// CellReport is one cell's execution breakdown.
+// CellReport is one cell's execution breakdown. SweepUtilization is how
+// well the sweep kept its worker pool busy: sweep/worker busy time over
+// (core workers × sweep wall time), so 1.0 means every worker was busy for
+// the whole sweep; a sweep/worker max_ms far above its mean exposes a
+// straggler.
 type CellReport struct {
 	Cell             string      `json:"cell"`
 	Worker           int         `json:"worker"`
@@ -33,20 +38,7 @@ type CellReport struct {
 	WallMS           float64     `json:"wall_ms"`
 	ScheduleCacheHit bool        `json:"schedule_cache_hit,omitempty"`
 	Phases           []PhaseStat `json:"phases,omitempty"`
-	Sweep            *SweepUtil  `json:"sweep,omitempty"`
-}
-
-// SweepUtil summarizes how well a cell's sweep kept its worker pool busy.
-// Utilization is busy time over (workers × sweep wall time): 1.0 means
-// every worker was busy for the whole sweep; a low max/mean ratio across
-// worker spans means a straggler.
-type SweepUtil struct {
-	Workers     int     `json:"workers"`
-	WorkerSpans int64   `json:"worker_spans"`
-	Chunks      int64   `json:"chunks"`
-	BusyMS      float64 `json:"busy_ms"`
-	MaxBusyMS   float64 `json:"max_busy_ms"`
-	Utilization float64 `json:"utilization,omitempty"`
+	SweepUtilization float64     `json:"sweep_utilization,omitempty"`
 }
 
 // MemSnapshot is the runtime.ReadMemStats summary taken at report time.
@@ -80,9 +72,9 @@ func heapMB() float64 {
 }
 
 // Report assembles the run's telemetry artifact and emits the run_done
-// event. command labels the producing invocation; workers and shardSize
-// echo the execution knobs so a report is self-describing.
-func (c *Collector) Report(command string, workers, shardSize int) *Report {
+// event. command labels the producing invocation; the execution knobs in
+// the header come from SetRun.
+func (c *Collector) Report(command string) *Report {
 	if c == nil {
 		return nil
 	}
@@ -90,31 +82,25 @@ func (c *Collector) Report(command string, workers, shardSize int) *Report {
 	c.emit(Event{Ev: "run_done", MS: wallMS, HeapMB: heapMB()})
 
 	c.mu.Lock()
-	cells := make([]*CellObs, len(c.cells))
-	copy(cells, c.cells)
+	rep := c.header
+	cells := slices.Clone(c.cells)
 	c.mu.Unlock()
 
-	rep := &Report{
-		Schema:    ReportSchema,
-		Command:   command,
-		WallMS:    wallMS,
-		Workers:   workers,
-		ShardSize: shardSize,
-		Counters:  nonZero(c.reg.Counters()),
-		Timers:    c.reg.Timers(),
-		Mem:       ReadMem(),
-	}
+	rep.Schema, rep.Command, rep.WallMS = ReportSchema, command, wallMS
+	rep.Counters = nonZero(c.reg.Counters())
+	rep.Mem = ReadMem()
 	for _, o := range cells {
-		rep.Cells = append(rep.Cells, o.report())
+		rep.Cells = append(rep.Cells, o.report(rep.CoreWorkers))
 	}
 	// Cells complete in scheduling order; report them in start order so two
 	// reports of the same spec diff cleanly.
 	sort.SliceStable(rep.Cells, func(i, j int) bool { return rep.Cells[i].StartMS < rep.Cells[j].StartMS })
-	return rep
+	return &rep
 }
 
-// report snapshots one cell's telemetry.
-func (o *CellObs) report() CellReport {
+// report snapshots one cell's telemetry, deriving its sweep utilization
+// from the run's core-worker count.
+func (o *CellObs) report(coreWorkers int) CellReport {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	cr := CellReport{
@@ -123,28 +109,21 @@ func (o *CellObs) report() CellReport {
 		StartMS:          roundMS(o.startMS),
 		WallMS:           roundMS(o.wallMS),
 		ScheduleCacheHit: o.cacheHit,
-		Phases:           make([]PhaseStat, len(o.phases)),
+		Phases:           slices.Clone(o.phases),
 	}
-	copy(cr.Phases, o.phases)
+	var sweepMS, busyMS float64
 	for i := range cr.Phases {
-		cr.Phases[i].MS = roundMS(cr.Phases[i].MS)
+		p := &cr.Phases[i]
+		switch p.Name {
+		case "sweep":
+			sweepMS = p.MS
+		case "sweep/worker":
+			busyMS = p.MS
+		}
+		p.MS, p.MaxMS = roundMS(p.MS), roundMS(p.MaxMS)
 	}
-	if spans := o.workerSpans.Load(); spans > 0 {
-		su := &SweepUtil{
-			Workers:     o.sweepWorkers,
-			WorkerSpans: spans,
-			Chunks:      o.chunks.Load(),
-			BusyMS:      roundMS(float64(o.busyNS.Load()) / 1e6),
-			MaxBusyMS:   roundMS(float64(o.maxBusyNS.Load()) / 1e6),
-		}
-		if o.sweepWorkers > 0 {
-			for _, p := range o.phases {
-				if p.Name == "sweep" && p.MS > 0 {
-					su.Utilization = roundMS(su.BusyMS / (float64(o.sweepWorkers) * p.MS))
-				}
-			}
-		}
-		cr.Sweep = su
+	if coreWorkers > 0 && sweepMS > 0 {
+		cr.SweepUtilization = roundMS(busyMS / (float64(coreWorkers) * sweepMS))
 	}
 	return cr
 }

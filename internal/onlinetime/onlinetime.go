@@ -51,13 +51,13 @@ import (
 var (
 	obsTablesBuilt = obs.C("onlinetime.tables_built")
 	obsRowsBuilt   = obs.C("onlinetime.rows_built")
-	obsBuildTimer  = obs.T("onlinetime.build_table")
+	obsBuildNS     = obs.C("onlinetime.build_table_ns")
 )
 
-// recordBuild finalizes one BuildTable's telemetry: the span's duration and
-// the row volume it produced.
-func recordBuild(sp obs.Span, users int) {
-	sp.End()
+// recordBuild finalizes one BuildTable's telemetry: its duration since w
+// and the row volume it produced.
+func recordBuild(w obs.Watch, users int) {
+	obsBuildNS.Add(w.ElapsedNS())
 	obsTablesBuilt.Inc()
 	obsRowsBuilt.Add(int64(users))
 }
@@ -139,7 +139,7 @@ const buildShardUsers = 1 << 16
 // shard (buildShardUsers) with the draw column reused, bounding peak memory
 // by one shard's activities.
 func (s Sporadic) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Table {
-	sp := obsBuildTimer.Begin()
+	w := obs.StartWatch()
 	sess := s.sessionMinutes()
 	n := d.NumUsers()
 	t := NewTable(n)
@@ -189,7 +189,7 @@ func (s Sporadic) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Tab
 			}
 		})
 	}
-	recordBuild(sp, n)
+	recordBuild(w, n)
 	return t
 }
 
@@ -223,7 +223,7 @@ func (f FixedLength) windowMinutes() int { return min(max(f.Hours, 1), 24) * 60 
 // exactly those centers, phase 2 computes the activity-derived centers (the
 // trigonometric circular mean, the expensive part) in parallel.
 func (f FixedLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Table {
-	sp := obsBuildTimer.Begin()
+	w := obs.StartWatch()
 	length := f.windowMinutes()
 	n := d.NumUsers()
 	t := NewTable(n)
@@ -233,7 +233,7 @@ func (f FixedLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *
 			t.rows[u].AddInterval(windowCentered(resolveCenter(d, centers, u), length))
 		}
 	})
-	recordBuild(sp, n)
+	recordBuild(w, n)
 	return t
 }
 
@@ -276,7 +276,7 @@ func (r RandomLength) bounds() (lo, hi int) {
 // and — for users with no activities — the random center, in that order
 // (the historical draw order).
 func (r RandomLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Table {
-	sp := obsBuildTimer.Begin()
+	w := obs.StartWatch()
 	lo, hi := r.bounds()
 	n := d.NumUsers()
 	t := NewTable(n)
@@ -292,7 +292,7 @@ func (r RandomLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) 
 			t.rows[u].AddInterval(windowCentered(resolveCenter(d, centers, u), int(lengths[u])))
 		}
 	})
-	recordBuild(sp, n)
+	recordBuild(w, n)
 	return t
 }
 
